@@ -5,7 +5,8 @@ vertices of the first largest non-singleton cell, and keeps the leaf whose
 (path invariant, adjacency string) is lexicographically greatest.  Leaves
 that tie with the first or best leaf yield automorphisms; automorphisms
 that fix the current prefix prune sibling branches, and the collected
-generators feed a small Schreier-Sims routine for the exact group order.
+generators give the exact group order by orbit-stabilizer along a base,
+keeping every Schreier generator of each stabilizer (no sifting).
 
 Works for graphs and digraphs, with an optional initial vertex coloring
 (used e.g. to canonicalize hypergraph incidence structures).
@@ -220,7 +221,11 @@ class _Search:
 
 
 def _group_order(n: int, generators: list[tuple[int, ...]]) -> int:
-    """Order of the permutation group via orbit-stabilizer with sifting."""
+    """Order of the permutation group via orbit-stabilizer.
+
+    For each base point the orbit size multiplies into the order, and every
+    distinct non-identity Schreier generator is kept, unsifted, as a
+    generator of the point stabilizer."""
     if not generators:
         return 1
     order = 1
@@ -292,22 +297,11 @@ def canonical_form(g: Graph, colors=None) -> CanonicalForm:
 
 
 def canonical_form_digraph(d: Digraph, colors=None) -> CanonicalForm:
-    rows_in = [d.in_row(v) for v in range(d.n)]
-    return _canon(d.n, d.out, rows_in, colors)
+    return _canon(d.n, d.out, d.inn, colors)
 
 
 def certificate(g: Graph) -> bytes:
     return canonical_form(g).bytes
-
-
-def certificate_digraph(d: Digraph) -> bytes:
-    return canonical_form_digraph(d).bytes
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
-        return False
-    return certificate(g1) == certificate(g2)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +339,7 @@ def brute_force_aut_order(g: Graph) -> int:
 
 def brute_force_aut_order_digraph(d: Digraph) -> int:
     n = d.n
-    rows_in = [d.in_row(v) for v in range(n)]
+    rows_in = d.inn
     count = 0
 
     def place(v: int, perm: list[int], used: int):

@@ -1,7 +1,8 @@
 """Command-line front end: problem registry access, per-module verbs, and
 golden-table reproduction.
 
-Exit codes: 0 ok, 2 bad parameters, 3 unknown problem, 4 golden mismatch.
+Exit codes: 0 ok, 2 bad parameters or input (any ValueError), 3 unknown
+problem, 4 golden mismatch.
 """
 
 from __future__ import annotations
@@ -26,19 +27,12 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        params = json.loads(args.params) if args.params else {}
-    except json.JSONDecodeError as exc:
-        print(f"bad --params JSON: {exc}", file=sys.stderr)
-        return 2
+    params = json.loads(args.params) if args.params else {}
     try:
         report = registry.run(args.id, params, seed=args.seed)
     except registry.UnknownProblem:
         print(f"unknown problem id {args.id!r}", file=sys.stderr)
         return 3
-    except registry.BadParams as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return 2
     print(report.to_json())
     return 0
 
@@ -321,11 +315,10 @@ def _cmd_des(args) -> int:
 
 
 def _cmd_perc(args) -> int:
-    from .perc import DEFAULT_GRIDS, sweep_to_csv, threshold_sweep
+    from .perc import default_grids, sweep_to_csv, threshold_sweep
 
     sizes = [int(s) for s in args.sizes.split(",")]
-    sweeps = threshold_sweep(sizes, {n: DEFAULT_GRIDS[n] for n in sizes},
-                             args.trials, args.seed)
+    sweeps = threshold_sweep(sizes, default_grids(sizes), args.trials, args.seed)
     sys.stdout.write(sweep_to_csv(sweeps))
     for s in sweeps:
         print(f"# n={s.n} p_half={s.p_half} reference={s.reference}")
@@ -338,16 +331,22 @@ def _cmd_perc(args) -> int:
     return 0
 
 
+def _matrix_rows(text: str, n: int) -> tuple[int, ...]:
+    """Parse comma-separated hex rows of an n x n matrix over GF(2)."""
+    rows = tuple(int(h, 16) for h in text.split(","))
+    if len(rows) != n or any(r >> n for r in rows):
+        raise ValueError(f"--matrix needs {n} hex rows of at most {n} bits")
+    return rows
+
+
 def _cmd_gl2(args) -> int:
     from .gl2 import diameter, distance, greedy_reduce
 
     if args.verb == "dist":
-        rows = tuple(int(h, 16) for h in args.matrix.split(","))
-        d, word = distance(rows, args.n)
+        d, word = distance(_matrix_rows(args.matrix, args.n), args.n)
         print(json.dumps({"distance": d, "word": word}))
     elif args.verb == "greedy":
-        rows = tuple(int(h, 16) for h in args.matrix.split(","))
-        cnt, word = greedy_reduce(rows, args.n)
+        cnt, word = greedy_reduce(_matrix_rows(args.matrix, args.n), args.n)
         print(json.dumps({"operations": cnt}))
     elif args.verb == "diameter":
         d = diameter(args.n)
@@ -451,7 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        # domain errors and json.JSONDecodeError all subclass ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -350,10 +350,9 @@ def explicit_cycle_basis(g: Graph, p: int):
 
 def _reach_table(d: Digraph, x: int):
     """reach[mask] = bitset of v with an x->v path spanning exactly mask."""
-    n = d.n
     reach = {1 << x: 1 << x}
-    order = sorted(reach)
-    # iterate masks in increasing popcount via dict growth
+    # each round expands the masks of one popcount; the masks one larger
+    # are created only in that round, so a mask is new exactly when unseen
     frontier = [1 << x]
     while frontier:
         new_frontier = []
@@ -366,8 +365,6 @@ def _reach_table(d: Digraph, x: int):
                     if not prev >> w & 1:
                         reach[nmask] = prev | 1 << w
                         if not prev:
-                            new_frontier.append(nmask)
-                        elif nmask not in new_frontier:
                             new_frontier.append(nmask)
         frontier = new_frontier
     return reach

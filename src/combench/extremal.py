@@ -46,7 +46,7 @@ def _turan_branch_and_bound(n: int, patterns):
     best = [-1, None]
     g = Graph(n)
 
-    def creates_pattern(u: int, v: int) -> bool:
+    def creates_pattern() -> bool:
         # only patterns touching the new edge matter; full test is simplest
         return any(subgraph_contains(g, p) for p in patterns)
 
@@ -60,7 +60,7 @@ def _turan_branch_and_bound(n: int, patterns):
             return
         u, v = pairs[i]
         g.add_edge(u, v)
-        if not creates_pattern(u, v):
+        if not creates_pattern():
             rec(i + 1, m + 1)
         g.adj[u] &= ~(1 << v)
         g.adj[v] &= ~(1 << u)
@@ -261,9 +261,6 @@ def hyper_ramsey_witness(n: int, red_edges: set, t: int):
     if n > 13:
         raise TooLargeError("witness scan; n <= 13")
     red = {tuple(sorted(e)) for e in red_edges}
-
-    def is_red(a, b, c):
-        return (a, b, c) in red
 
     # red loose triangle: core {p,q,r} + pendants s,t,u, all six distinct:
     # edges {p,r,s}, {p,q,t}, {q,r,u}

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations, permutations
 
-from .graphs import Digraph, Graph
+from .graphs import Digraph, Graph, bits
 
 INF = 1 << 60
 
@@ -79,96 +80,76 @@ class FlowNet:
         return seen
 
 
-def edge_flow(g: Graph, s: int, t: int, limit: int = INF) -> int:
-    """Max number of edge-disjoint s-t paths."""
-    net = FlowNet(g.n)
-    for u, v in g.edges():
-        net.add(u, v, 1)
-        net.add(v, u, 1)
+def arc_flow(rows, s: int, t: int, limit: int = INF) -> int:
+    """Max number of arc-disjoint s-t paths over the out-rows ``rows``.
+
+    A Graph's symmetric ``adj`` rows give its edge-disjoint paths."""
+    net = FlowNet(len(rows))
+    for u, row in enumerate(rows):
+        for v in bits(row):
+            net.add(u, v, 1)
     return net.max_flow(s, t, limit)
 
 
-def vertex_flow(g: Graph, s: int, t: int, limit: int = INF) -> int:
-    """Max number of internally disjoint s-t paths (s, t non-adjacent)."""
-    net = FlowNet(2 * g.n)
-    for v in range(g.n):
+def vertex_flow(rows, s: int, t: int, limit: int = INF) -> int:
+    """Max number of internally disjoint s-t paths over the out-rows ``rows``
+    (no arc s->t)."""
+    n = len(rows)
+    net = FlowNet(2 * n)
+    for v in range(n):
         net.add(2 * v, 2 * v + 1, 1 if v not in (s, t) else INF)
-    for u, v in g.edges():
-        net.add(2 * u + 1, 2 * v, INF)
-        net.add(2 * v + 1, 2 * u, INF)
+    for u, row in enumerate(rows):
+        for v in bits(row):
+            net.add(2 * u + 1, 2 * v, INF)
     return net.max_flow(2 * s + 1, 2 * t, limit)
+
+
+def _root_cut(rows, best: int) -> int:
+    """min(best, min over t of the arc flow from vertex 0 to t)."""
+    for t in range(1, len(rows)):
+        if best == 0:
+            break
+        best = arc_flow(rows, 0, t, best)
+    return best
+
+
+def _pair_cut(rows, pairs) -> int:
+    """min(n-1, min over the pairs (s, t) without an arc s->t of the vertex
+    flow from s to t)."""
+    best = len(rows) - 1
+    for s, t in pairs:
+        if not rows[s] >> t & 1:
+            best = vertex_flow(rows, s, t, best)
+            if best == 0:
+                break
+    return best
 
 
 def edge_connectivity(g: Graph) -> int:
     if g.n <= 1:
         return 0
-    best = INF
-    for t in range(1, g.n):
-        best = min(best, edge_flow(g, 0, t, best))
-        if best == 0:
-            break
-    return best
+    return _root_cut(g.adj, INF)
 
 
 def vertex_connectivity(g: Graph) -> int:
     """Vertex connectivity; n-1 for complete graphs."""
-    n = g.n
-    if n <= 1:
+    if g.n <= 1:
         return 0
-    if all(g.adj[v].bit_count() == n - 1 for v in range(n)):
-        return n - 1
-    best = INF
-    # Menger: it suffices to scan pairs (v, non-neighbors) for v in a
-    # dominating-ish prefix; scanning all non-adjacent pairs is safe at desk scale.
-    for s in range(n):
-        for t in range(s + 1, n):
-            if not g.has_edge(s, t):
-                best = min(best, vertex_flow(g, s, t, best))
-                if best == 0:
-                    return 0
-    return best
-
-
-def digraph_arc_flow(d: Digraph, s: int, t: int, limit: int = INF) -> int:
-    net = FlowNet(d.n)
-    for u, v in d.arcs():
-        net.add(u, v, 1)
-    return net.max_flow(s, t, limit)
-
-
-def digraph_vertex_flow(d: Digraph, s: int, t: int, limit: int = INF) -> int:
-    net = FlowNet(2 * d.n)
-    for v in range(d.n):
-        net.add(2 * v, 2 * v + 1, 1 if v not in (s, t) else INF)
-    for u, v in d.arcs():
-        net.add(2 * u + 1, 2 * v, INF)
-    return net.max_flow(2 * s + 1, 2 * t, limit)
+    return _pair_cut(g.adj, combinations(range(g.n), 2))
 
 
 def arc_strong_connectivity(d: Digraph) -> int:
-    """lambda(D): largest k such that D is k-arc-strong (0 if not strong)."""
+    """lambda(D): largest k such that D is k-arc-strong (0 if not strong).
+
+    Every minimum cut separates vertex 0 from some t in one direction, so
+    the flows from 0 (over ``out``) and to 0 (from 0 over ``inn``) suffice."""
     if d.n <= 1:
         return 0
-    best = INF
-    for u in range(d.n):
-        for v in range(d.n):
-            if u != v:
-                best = min(best, digraph_arc_flow(d, u, v, best))
-                if best == 0:
-                    return 0
-    return best
+    return _root_cut(d.inn, _root_cut(d.out, INF))
 
 
 def vertex_strong_connectivity(d: Digraph) -> int:
     """Largest k such that D is k-strong (requires n >= k+1)."""
-    n = d.n
-    if n <= 1:
+    if d.n <= 1:
         return 0
-    best = n - 1
-    for u in range(n):
-        for v in range(n):
-            if u != v and not d.has_arc(u, v):
-                best = min(best, digraph_vertex_flow(d, u, v, best))
-                if best == 0:
-                    return 0
-    return best
+    return _pair_cut(d.out, permutations(range(d.n), 2))

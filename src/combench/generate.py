@@ -406,11 +406,11 @@ def tournaments(n: int) -> tuple[Digraph, ...]:
     found: dict[bytes, Digraph] = {}
     for parent in tournaments(n - 1):
         for pattern in range(1 << (n - 1)):
-            child = Digraph(n)
-            child.out = list(parent.out) + [pattern]
+            rows = list(parent.out) + [pattern]
             for v in range(n - 1):
                 if not pattern >> v & 1:
-                    child.out[v] |= 1 << (n - 1)
+                    rows[v] |= 1 << (n - 1)
+            child = Digraph.from_rows(n, rows)
             cert = canonical_form_digraph(child).bytes
             if cert not in found:
                 found[cert] = child

@@ -103,7 +103,8 @@ def distance(rows, n: int):
             word.append(op)
             k = prev
         # the stored ops walk identity -> m; the same ops in reverse reduce m
-        assert apply_word(rows, word) == identity(n)
+        if apply_word(rows, word) != identity(n):
+            raise RuntimeError("BFS word does not replay to the identity")
         return dist[key], word
     if n == 5:
         return _mitm_distance(rows, n)
@@ -345,5 +346,6 @@ def greedy_reduce(rows, n: int):
                 bit = cur & -cur
                 add(acc, b0 + k + 1 + bit.bit_length() - 1)
                 cur ^= bit
-    assert work == list(identity(n)), "reduction must end at the identity"
+    if work != list(identity(n)):
+        raise RuntimeError("reduction must end at the identity")
     return len(ops), ops

@@ -8,9 +8,6 @@ or a mask away and puts no hard ceiling on n.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-
-Rational = Fraction
 
 
 def bits(mask: int):
@@ -117,15 +114,30 @@ class Graph:
 
 
 class Digraph:
-    """Directed graph as per-vertex out-neighbor bitsets (no self-loops)."""
+    """Directed graph as per-vertex out- and in-neighbor bitsets (no self-loops).
 
-    __slots__ = ("n", "out")
+    ``inn`` is the transpose of ``out``: bit u of ``inn[v]`` is set exactly
+    when bit v of ``out[u]`` is.  Only Digraph's own methods write the rows.
+    """
+
+    __slots__ = ("n", "out", "inn")
 
     def __init__(self, n: int, arcs=()):
         self.n = n
         self.out = [0] * n
+        self.inn = [0] * n
         for u, v in arcs:
             self.add_arc(u, v)
+
+    @classmethod
+    def from_rows(cls, n: int, out) -> "Digraph":
+        """Digraph with the given out-rows; the in-rows are derived once."""
+        d = cls(n)
+        d.out = list(out)
+        for u, row in enumerate(d.out):
+            for v in bits(row):
+                d.inn[v] |= 1 << u
+        return d
 
     def add_arc(self, u: int, v: int) -> None:
         if u == v:
@@ -133,9 +145,11 @@ class Digraph:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"arc ({u},{v}) out of range for n={self.n}")
         self.out[u] |= 1 << v
+        self.inn[v] |= 1 << u
 
     def remove_arc(self, u: int, v: int) -> None:
         self.out[u] &= ~(1 << v)
+        self.inn[v] &= ~(1 << u)
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.out[u] >> v & 1)
@@ -149,26 +163,22 @@ class Digraph:
         return sum(a.bit_count() for a in self.out)
 
     def in_row(self, v: int) -> int:
-        row = 0
-        for u in range(self.n):
-            if self.out[u] >> v & 1:
-                row |= 1 << u
-        return row
+        return self.inn[v]
 
     def out_degree(self, v: int) -> int:
         return self.out[v].bit_count()
 
     def in_degree(self, v: int) -> int:
-        return self.in_row(v).bit_count()
+        return self.inn[v].bit_count()
 
     def copy(self) -> "Digraph":
         d = Digraph(self.n)
-        d.out = list(self.out)
+        d.out, d.inn = list(self.out), list(self.inn)
         return d
 
     def reverse(self) -> "Digraph":
         d = Digraph(self.n)
-        d.out = [self.in_row(v) for v in range(self.n)]
+        d.out, d.inn = list(self.inn), list(self.out)
         return d
 
     def underlying_graph(self) -> Graph:
@@ -181,13 +191,13 @@ class Digraph:
     def subdigraph(self, mask: int) -> "Digraph":
         verts = list(bits(mask))
         pos = {v: i for i, v in enumerate(verts)}
-        d = Digraph(len(verts))
-        for i, v in enumerate(verts):
+        rows = []
+        for v in verts:
             row = 0
             for w in bits(self.out[v] & mask):
                 row |= 1 << pos[w]
-            d.out[i] = row
-        return d
+            rows.append(row)
+        return Digraph.from_rows(len(verts), rows)
 
     def is_tournament(self) -> bool:
         for u in range(self.n):
@@ -383,10 +393,8 @@ def rotational_tournament(n: int, residues=None) -> Digraph:
 
 
 def complete_digraph(n: int) -> Digraph:
-    d = Digraph(n)
     full = (1 << n) - 1
-    d.out = [full & ~(1 << v) for v in range(n)]
-    return d
+    return Digraph.from_rows(n, [full & ~(1 << v) for v in range(n)])
 
 
 def directed_cycle(n: int) -> Digraph:
@@ -420,16 +428,15 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(component_masks(g)) == 1
 
 
-def reachable_set(d: Digraph, start: int, mask: int | None = None) -> int:
-    """Vertices reachable from ``start`` inside ``mask`` (default: all)."""
-    if mask is None:
-        mask = (1 << d.n) - 1
+def reachable_set(rows, start: int, mask: int) -> int:
+    """Vertices reachable from ``start`` inside ``mask``, following the
+    neighbor rows ``rows`` (a digraph's ``out`` or ``inn``)."""
     seen = 1 << start
     frontier = seen
     while frontier:
         nxt = 0
         for v in bits(frontier):
-            nxt |= d.out[v] & mask
+            nxt |= rows[v] & mask
         frontier = nxt & ~seen
         seen |= frontier
     return seen
@@ -441,10 +448,8 @@ def is_strongly_connected(d: Digraph, mask: int | None = None) -> bool:
     if mask == 0:
         return True
     start = (mask & -mask).bit_length() - 1
-    if reachable_set(d, start, mask) & mask != mask:
-        return False
-    rev = d.reverse()
-    return reachable_set(rev, start, mask) & mask == mask
+    return (reachable_set(d.out, start, mask) & mask == mask
+            and reachable_set(d.inn, start, mask) & mask == mask)
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -485,8 +490,12 @@ def _n_encode(n: int) -> bytes:
 
 
 def _n_decode(data: bytes) -> tuple[int, int]:
+    if not data or any(not 63 <= b <= 126 for b in data):
+        raise ValueError("graph6/digraph6 data must be non-empty bytes 63..126")
     if data[0] != 126:
         return data[0] - 63, 1
+    if len(data) < 4:
+        raise ValueError("truncated graph6/digraph6 size")
     if data[1] != 126:
         return ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63), 4
     raise ValueError("unsupported huge n")
@@ -505,6 +514,8 @@ def _r_encode(bitlist: list[int]) -> bytes:
 
 
 def _r_decode(data: bytes, nbits: int) -> list[int]:
+    if 6 * len(data) < nbits:
+        raise ValueError("truncated graph6/digraph6 data")
     out = []
     for byte in data:
         val = byte - 63

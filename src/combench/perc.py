@@ -85,7 +85,6 @@ class GridFamily:
             for c in range(n):
                 interior |= 1 << ((r + 1) * self.w + (c + 1))
         self.mask = interior
-        self.full = interior
 
     def graph(self) -> Graph:
         from .graphs import grid_graph
@@ -102,29 +101,33 @@ class GridFamily:
                     m |= 1 << (base + c)
         return m
 
-    def closure_fills(self, infected: int, threshold: int = 2) -> bool:
-        """Does the closure under the r=threshold rule infect everything?"""
-        cur = infected
+    def _closure2(self, cur: int) -> int:
+        """Packed closure under the 2-neighbour rule."""
         w = self.w
         mask = self.mask
+        while True:
+            up = cur >> w
+            down = cur << w
+            left = cur >> 1
+            right = cur << 1
+            # at least 2 of 4 neighbours infected, via half adders
+            s1 = up ^ down
+            c1 = up & down
+            s2 = left ^ right
+            c2 = left & right
+            ge2 = c1 | c2 | (s1 & s2)
+            new = cur | (ge2 & mask & ~cur)
+            if new == cur:
+                return cur
+            cur = new
+
+    def closure_fills(self, infected: int, threshold: int = 2) -> bool:
+        """Does the closure under the r=threshold rule infect everything?"""
         if threshold == 2:
-            while True:
-                up = cur >> w
-                down = cur << w
-                left = cur >> 1
-                right = cur << 1
-                # at least 2 of 4 neighbours infected, via half adders
-                s1 = up ^ down
-                c1 = up & down
-                s2 = left ^ right
-                c2 = left & right
-                ge2 = c1 | c2 | (s1 & s2)
-                new = cur | (ge2 & mask & ~cur)
-                if new == cur:
-                    return cur == self.full
-                cur = new
+            return self._closure2(infected) == self.mask
         g = self.graph()
-        closure, _ = percolate(g, threshold_rule(threshold), _unpack(self, cur))
+        closure, _ = percolate(g, threshold_rule(threshold),
+                               _unpack(self, infected))
         return closure == (1 << g.n) - 1
 
     def closure_equals_graph_engine(self, infected_cells, threshold: int) -> bool:
@@ -132,25 +135,12 @@ class GridFamily:
         packed = 0
         for (r, c) in infected_cells:
             packed |= 1 << ((r + 1) * self.w + (c + 1))
-        cur = packed
-        while True:
-            up = cur >> self.w
-            down = cur << self.w
-            left = cur >> 1
-            right = cur << 1
-            s1, c1 = up ^ down, up & down
-            s2, c2 = left ^ right, left & right
-            ge2 = c1 | c2 | (s1 & s2)
-            new = cur | (ge2 & self.mask & ~cur)
-            if new == cur:
-                break
-            cur = new
         g = self.graph()
         seed = 0
         for r, c in infected_cells:
             seed |= 1 << (r * self.n + c)
         closure, _ = percolate(g, threshold_rule(threshold), seed)
-        return _unpack(self, cur) == closure
+        return _unpack(self, self._closure2(packed)) == closure
 
 
 def _unpack(fam: GridFamily, packed: int) -> int:
@@ -230,6 +220,15 @@ DEFAULT_GRIDS = {
     64: [0.04, 0.05, 0.06, 0.07, 0.08, 0.09],
     128: [0.035, 0.042, 0.049, 0.056, 0.063, 0.07],
 }
+
+
+def default_grids(sizes: list[int]) -> dict[int, list[float]]:
+    """The default p grid of each size; ValueError for a size without one."""
+    missing = [n for n in sizes if n not in DEFAULT_GRIDS]
+    if missing:
+        raise ValueError(f"no default p grid for sizes {missing}; "
+                         f"available: {sorted(DEFAULT_GRIDS)}")
+    return {n: DEFAULT_GRIDS[n] for n in sizes}
 
 
 @dataclass

@@ -442,11 +442,10 @@ def _overfull(seed: int, n_max: int) -> dict:
           {"sizes": (str, "32,64"), "trials": (int, 400)},
           "threshold sweeps for 2-neighbour bootstrap percolation on grids")
 def _perc(seed: int, sizes: str, trials: int) -> dict:
-    from .perc import DEFAULT_GRIDS, threshold_sweep
+    from .perc import default_grids, threshold_sweep
 
     ns = [int(s) for s in sizes.split(",") if s]
-    sweeps = threshold_sweep(ns, {n: DEFAULT_GRIDS[n] for n in ns},
-                             trials, seed)
+    sweeps = threshold_sweep(ns, default_grids(ns), trials, seed)
     return {"sweeps": [{"n": s.n, "p_half": s.p_half, "reference": s.reference,
                         "estimates": s.estimates} for s in sweeps]}
 
@@ -476,7 +475,9 @@ def _gl2_greedy(seed: int, n: int, trials: int) -> dict:
     for _ in range(trials):
         m = random_invertible(n, rng)
         cnt, ops = greedy_reduce(m, n)
-        assert apply_word(m, ops) == identity(n)
+        if apply_word(m, ops) != identity(n):
+            raise RuntimeError("greedy reduction word does not replay to "
+                               "the identity")
         tot += cnt
     avg = tot / trials
     return {"n": n, "avg_ops": avg,

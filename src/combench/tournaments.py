@@ -94,12 +94,12 @@ def decompose_arc_disjoint_strong(d: Digraph, k: int) -> StrongDecomposition | N
             if assign[j] == -1:
                 u, v = arcs[j]
                 rows[u] |= 1 << v
-        return is_strongly_connected(_digraph_from_rows(n, rows))
+        return is_strongly_connected(Digraph.from_rows(n, rows))
 
     def rec(i: int, used: int) -> bool:
         nonlocal solution
         if i == m:
-            if all(is_strongly_connected(_digraph_from_rows(n, class_rows[c]))
+            if all(is_strongly_connected(Digraph.from_rows(n, class_rows[c]))
                    for c in range(k)):
                 solution = list(assign)
                 return True
@@ -125,12 +125,6 @@ def decompose_arc_disjoint_strong(d: Digraph, k: int) -> StrongDecomposition | N
             classes[c].append(arcs[i])
         return StrongDecomposition(k, classes)
     return None
-
-
-def _digraph_from_rows(n: int, rows) -> Digraph:
-    d = Digraph(n)
-    d.out = list(rows)
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +277,8 @@ def alpha_k(d: Digraph, k: int):
     removed = net.max_flow(src, sink)
     keep = [a for a in arcs if net.cap[arc_edge[a]] == 1]
     dropped = [a for a in arcs if net.cap[arc_edge[a]] == 0]
-    assert len(dropped) == removed
+    if len(dropped) != removed:
+        raise RuntimeError("alpha_k: saturated arcs disagree with the flow value")
     return len(arcs) - removed, keep
 
 

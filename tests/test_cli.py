@@ -49,6 +49,21 @@ def test_cli_exit_codes(capsys):
                  "--params", "{bad json"]) == 2
     assert main(["run", "--id", "sec11.families.katona",
                  "--params", '{"bogus": 1}']) == 2
+    # bad input exits 2 with a one-line message, never a traceback
+    capsys.readouterr()
+    for argv in (["gen", "--spec", "{bad"],
+                 ["tour", "kelly", "&"],
+                 ["color", "chromatic", "--graph6", "~~~"],
+                 ["color", "chromatic", "--graph6="],
+                 ["gl2", "greedy", "--n", "4", "--matrix", "1,2"],
+                 ["gen", "--spec", '{"n": 12, "class_tag": "tournament"}'],
+                 ["gl2", "diameter", "--n", "5"],
+                 ["des", "magic", "--n", "5"],
+                 ["perc", "--sizes", "48"],
+                 ["fam", "katona", "--n", "-1"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "sec8.mckay.half-cycles" in out

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from combench import flows
-from combench.graphs import (Digraph, Graph, bipartition, complete_bipartite,
+from combench.graphs import (Digraph, Graph, bipartition, bits, complete_bipartite,
                              complete_graph, cycle_graph, empty_graph,
                              from_arc_list, from_digraph6, from_edge_list,
                              from_graph6, family_from_json, family_to_json,
@@ -115,9 +115,18 @@ def test_graph6_roundtrip(rng):
     assert from_graph6(to_graph6(big)).adj == big.adj
 
 
+def _assert_in_rows(d):
+    """The stored in-rows are the transpose of the out-rows."""
+    want = [sum(1 << u for u in range(d.n) if d.out[u] >> v & 1)
+            for v in range(d.n)]
+    assert d.inn == want
+    assert [d.in_row(v) for v in range(d.n)] == want
+    return d
+
+
 def test_digraph6_roundtrip(rng):
     d = rotational_tournament(7)
-    assert from_digraph6(to_digraph6(d)).out == d.out
+    assert _assert_in_rows(from_digraph6(to_digraph6(d))).out == d.out
     for _ in range(20):
         n = rng.randrange(1, 12)
         d = Digraph(n)
@@ -125,7 +134,19 @@ def test_digraph6_roundtrip(rng):
             for v in range(n):
                 if u != v and rng.random() < 0.3:
                     d.add_arc(u, v)
-        assert from_digraph6(to_digraph6(d)).out == d.out
+        _assert_in_rows(d)
+        assert _assert_in_rows(from_digraph6(to_digraph6(d))).out == d.out
+        assert _assert_in_rows(from_arc_list(to_arc_list(d))).out == d.out
+        assert _assert_in_rows(Digraph.from_rows(n, d.out)) == d
+        c = _assert_in_rows(d.copy())
+        for u, v in list(c.arcs())[::2]:
+            c.remove_arc(u, v)
+        _assert_in_rows(c)
+        assert d.arc_count() == c.arc_count() + len(list(d.arcs())[::2])
+        r = _assert_in_rows(d.reverse())
+        assert set(r.arcs()) == {(v, u) for u, v in d.arcs()}
+        _assert_in_rows(d.subdigraph(rng.getrandbits(n)))
+        _assert_in_rows(d)  # untouched by the copies above
 
 
 def test_edge_list_roundtrip():
@@ -157,19 +178,56 @@ def test_invariants_and_validation():
     assert is_connected(prism_graph())
 
 
+def _cut_oracles(n, rows):
+    """(min arcs leaving a nonempty proper vertex set, min vertex set whose
+    removal leaves >= 2 vertices without being strong; n-1 if none) by
+    enumeration.  Symmetric rows give edge and vertex connectivity."""
+    full = (1 << n) - 1
+    lam = min((sum((rows[u] & ~mask & full).bit_count()
+                   for u in range(n) if mask >> u & 1)
+               for mask in range(1, full)), default=0)
+    kappa = n - 1 if n > 1 else 0
+    for cut in range(full + 1):
+        rest = full & ~cut
+        if rest.bit_count() >= 2 and cut.bit_count() < kappa:
+            for v in bits(rest):
+                seen, stack = 1 << v, [v]
+                while stack:
+                    new = rows[stack.pop()] & rest & ~seen
+                    seen |= new
+                    stack.extend(bits(new))
+                if seen != rest:
+                    kappa = cut.bit_count()
+                    break
+    return lam, kappa
+
+
 def test_flow_connectivities(rng):
+    from combench.generate import tournaments
+
     assert flows.edge_connectivity(complete_graph(5)) == 4
     assert flows.vertex_connectivity(complete_graph(5)) == 4
     assert flows.vertex_connectivity(path_graph(5)) == 1
     d = rotational_tournament(7)
     assert flows.arc_strong_connectivity(d) == 3
-    # cut-enumeration oracle for lambda on the rotational tournament
-    arcs = list(d.arcs())
-    best = len(arcs)
-    for mask in range(1, 1 << 7):
-        if mask == (1 << 7) - 1:
-            continue
-        crossing = sum(1 for (u, v) in arcs
-                       if mask >> u & 1 and not mask >> v & 1)
-        best = min(best, crossing)
-    assert best == 3
+    assert _cut_oracles(7, d.out)[0] == 3
+    # every tournament on <= 6 vertices, strong or not, and random digraphs
+    digraphs = [t for n in range(1, 7) for t in tournaments(n)]
+    for _ in range(40):
+        n = rng.randrange(1, 8)
+        d = Digraph(n)
+        for u in range(n):
+            for v in range(n):
+                if u != v and rng.random() < 0.6:
+                    d.add_arc(u, v)
+        digraphs.append(d)
+    assert sum(flows.arc_strong_connectivity(t) == 0 for t in digraphs) > 10
+    for d in digraphs:
+        lam, kappa = _cut_oracles(d.n, d.out)
+        assert flows.arc_strong_connectivity(d) == lam
+        assert flows.vertex_strong_connectivity(d) == kappa
+    for _ in range(40):
+        g = random_graph(rng, rng.randrange(1, 9), rng.choice((0.3, 0.6, 0.9)))
+        lam, kappa = _cut_oracles(g.n, g.adj)
+        assert flows.edge_connectivity(g) == lam
+        assert flows.vertex_connectivity(g) == kappa

@@ -1,6 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import combench
 
 from combench.gl2 import (SingularError, apply_word, diameter, distance,
                           greedy_reduce, hard_instance_search, identity,
@@ -149,3 +155,27 @@ def test_hard_instance_search():
     assert rec["lower_bound"] == rec["certified_radius"] + 1
     for w in rec["witnesses"]:
         assert is_invertible(w, 5)
+
+
+def test_greedy_replay_check_survives_optimize():
+    """Under python -O a corrupted reduction word still fails the replay."""
+    script = """if True:
+        import sys
+        from combench import gl2, registry
+        if not sys.flags.optimize:
+            sys.exit("expected python -O")
+        reduce = gl2.greedy_reduce
+
+        def corrupted(rows, n):
+            count, word = reduce(rows, n)
+            return count, word[1:]
+
+        gl2.greedy_reduce = corrupted
+        registry.run("sec7.markstrom.gl2-greedy", {"n": 8, "trials": 3})
+    """
+    src = str(Path(combench.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "does not replay to the identity" in proc.stderr

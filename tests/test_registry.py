@@ -48,3 +48,23 @@ def test_checker_entries_report_zero_failures():
     ]:
         rep = registry.run(pid, {})
         assert rep.payload[field] == 0, pid
+
+
+def test_benchmark_tracer_binds_every_layer():
+    """perfbench/spans.py wraps names under src/; a rename must fail here."""
+    import importlib.util
+    from pathlib import Path
+
+    from combench import flows
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = flows.arc_strong_connectivity
+    patches = spans.install(spans.Tracer())
+    try:
+        assert flows.arc_strong_connectivity is not before
+    finally:
+        spans.uninstall(patches)
+    assert flows.arc_strong_connectivity is before
