@@ -1,12 +1,27 @@
 """Canonical forms and automorphism groups via individualization-refinement.
 
 The search refines an ordered partition to equitability, individualizes
-vertices of the first largest non-singleton cell, and keeps the leaf whose
-(path invariant, adjacency string) is lexicographically greatest.  Leaves
-that tie with the first or best leaf yield automorphisms; automorphisms
-that fix the current prefix prune sibling branches, and the collected
-generators give the exact group order by orbit-stabilizer along a base,
-keeping every Schreier generator of each stabilizer (no sifting).
+each vertex of the first non-singleton cell in turn, and keeps the leaf
+whose (path invariant, adjacency string) is lexicographically greatest.
+
+* Refinement follows Hopcroft's rule: when a cell splits, every part but
+  the first largest one becomes a splitter.  Below the root only the
+  individualized vertex is a splitter, since its parent partition was
+  already equitable.
+* Each refinement records a trace, one entry (cell index, sorted split
+  keys, part sizes) per split.  A node's path invariant is the sequence of
+  traces from the root, so comparing nodes costs nothing beyond the
+  refinement itself.
+* A graph whose refined partition is a single cell (a regular graph, whose
+  unit partition is already equitable) is seeded with the colouring by
+  (triangles, 4-cycles) through each vertex and refined again before the
+  search, which removes levels of the tree wherever that colouring splits.
+  Irregular graphs and digraphs never compute it.
+
+Leaves that tie with the first or best leaf yield automorphisms;
+automorphisms that fix the current prefix prune sibling branches, and the
+collected generators give the exact group order by orbit-stabilizer along
+a base, keeping every Schreier generator of each stabilizer (no sifting).
 
 Works for graphs and digraphs, with an optional initial vertex coloring
 (used e.g. to canonicalize hypergraph incidence structures).
@@ -35,29 +50,45 @@ class CanonicalForm:
         return hash(self.bytes)
 
 
-def _refine(n: int, rows_out, rows_in, cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement of an ordered partition.
+def _mask(cell) -> int:
+    m = 0
+    for v in cell:
+        m |= 1 << v
+    return m
 
-    Splits cells by neighbor counts into splitter sets until stable.  The
-    worklist holds splitter *masks*: cell indices would go stale when a
-    split shifts later cells.  Every part of every split is enqueued, so
-    the final partition is stable against each of its own cells (counts
-    into a splitter are inherited by subsets, so stability against earlier
-    splitters survives later splits).  rows_in is None for graphs.
+
+def _refine(rows_out, rows_in, cells: list[list[int]], work: list[int]):
+    """Equitable refinement of an ordered partition, with its trace.
+
+    ``work`` holds the splitters still to apply, as vertex masks (cell
+    indices would go stale when a split shifts later cells); stability
+    against every other cell must already hold or follow from them.  At
+    the root every cell is a splitter; after individualizing v in an
+    equitable partition, {v} alone is.  When a cell splits, every part
+    except the first largest one is enqueued (Hopcroft): stability against
+    the skipped part follows from stability against its parent cell and
+    its enqueued siblings.  rows_in is None for graphs.
+
+    Returns (cells, trace); the trace has one entry (cell index, sorted
+    split keys, part sizes) per split, in the order the splits happened,
+    and is invariant under relabelling.
     """
-    cells = [list(c) for c in cells]
-    work = []
-    for c in cells:
-        m = 0
-        for v in c:
-            m |= 1 << v
-        work.append(m)
+    cells = list(cells)
+    masks = [_mask(c) for c in cells]
+    trace = []
     while work:
         smask = work.pop()
+        # only vertices with an arc to or from the splitter can get a
+        # nonzero count, so no other cell can split
+        touched = 0
+        for w in bits(smask):
+            touched |= rows_out[w]
+            if rows_in is not None:
+                touched |= rows_in[w]
         i = 0
         while i < len(cells):
             cell = cells[i]
-            if len(cell) > 1:
+            if len(cell) > 1 and masks[i] & touched:
                 groups: dict = {}
                 if rows_in is None:
                     for v in cell:
@@ -69,35 +100,34 @@ def _refine(n: int, rows_out, rows_in, cells: list[list[int]]) -> list[list[int]
                              (rows_in[v] & smask).bit_count())
                         groups.setdefault(k, []).append(v)
                 if len(groups) > 1:
-                    parts = [groups[k] for k in sorted(groups)]
+                    keys = sorted(groups)
+                    parts = [groups[k] for k in keys]
+                    pmasks = [_mask(p) for p in parts]
                     cells[i:i + 1] = parts
-                    for p in parts:
-                        m = 0
-                        for v in p:
-                            m |= 1 << v
-                        work.append(m)
+                    masks[i:i + 1] = pmasks
+                    sizes = tuple(len(p) for p in parts)
+                    trace.append((i, tuple(keys), sizes))
+                    largest = sizes.index(max(sizes))
+                    for j, m in enumerate(pmasks):
+                        if j != largest:
+                            work.append(m)
                     i += len(parts)
                     continue
             i += 1
-    return cells
+    return cells, tuple(trace)
 
 
-def _quotient_invariant(rows_out, rows_in, cells) -> tuple:
-    """Invariant of an equitable ordered partition: sizes + quotient counts."""
-    masks = []
-    for c in cells:
-        m = 0
-        for v in c:
-            m |= 1 << v
-        masks.append(m)
-    inv = []
-    for c in cells:
-        v = c[0]
-        row = tuple((rows_out[v] & m).bit_count() for m in masks)
-        if rows_in is not None:
-            row += tuple((rows_in[v] & m).bit_count() for m in masks)
-        inv.append((len(c),) + row)
-    return tuple(inv)
+def _cycle_key(adj, v: int) -> tuple[int, int]:
+    """(triangles through v, 4-cycles through v) in a graph: each pair a, b
+    of neighbours of v closes a triangle if adjacent and a 4-cycle v-a-x-b
+    through each common neighbour x other than v."""
+    nbrs = list(bits(adj[v]))
+    tri = quad = 0
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1:]:
+            tri += adj[a] >> b & 1
+            quad += (adj[a] & adj[b]).bit_count() - 1
+    return tri, quad
 
 
 class _Search:
@@ -136,8 +166,21 @@ class _Search:
         return bytes(out)
 
     def run(self):
-        cells = _refine(self.n, self.rows_out, self.rows_in, self.base)
-        self.descend(cells, [], 0)
+        cells, trace = _refine(self.rows_out, self.rows_in, self.base,
+                               [_mask(c) for c in self.base])
+        if self.rows_in is None and len(cells) == 1:
+            # Regular graph: the unit partition is already equitable, so
+            # seed the search with an invariant colouring and refine again.
+            groups: dict = {}
+            for v in cells[0]:
+                groups.setdefault(_cycle_key(self.rows_out, v), []).append(v)
+            if len(groups) > 1:
+                keys = sorted(groups)
+                parts = [groups[k] for k in keys]
+                cells, more = _refine(self.rows_out, None, parts,
+                                      [_mask(p) for p in parts])
+                trace += ((0, tuple(keys), tuple(map(len, parts))),) + more
+        self.descend(cells, [trace], 0)
 
     def record_leaf(self, cells, path_inv):
         order = [c[0] for c in cells]
@@ -167,8 +210,8 @@ class _Search:
             self.generators.append(tperm)
 
     def descend(self, cells, path_inv, fixed_mask):
-        inv = _quotient_invariant(self.rows_out, self.rows_in, cells)
-        path_inv = path_inv + [inv]
+        """Search below an equitable partition; path_inv holds the
+        refinement traces from the root to this node."""
         # A branch whose invariant path is lexicographically below the best
         # path cannot contain the canonical leaf or tie it; it is only kept
         # while it still follows the first path (automorphism detection).
@@ -194,8 +237,10 @@ class _Search:
             explored.append(v)
             rest = [w for w in cell if w != v]
             new_cells = cells[:target] + [[v], rest] + cells[target + 1:]
-            refined = _refine(self.n, self.rows_out, self.rows_in, new_cells)
-            self.descend(refined, path_inv, fixed_mask | (1 << v))
+            # cells was equitable, so {v} is the only splitter needed
+            refined, trace = _refine(self.rows_out, self.rows_in, new_cells,
+                                     [1 << v])
+            self.descend(refined, path_inv + [trace], fixed_mask | (1 << v))
 
     def prunable(self, v: int, explored: list[int], fixed_mask: int) -> bool:
         """True if some automorphism fixing the prefix maps v into explored."""

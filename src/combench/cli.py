@@ -315,9 +315,9 @@ def _cmd_des(args) -> int:
 
 
 def _cmd_perc(args) -> int:
-    from .perc import default_grids, sweep_to_csv, threshold_sweep
+    from .perc import default_grids, parse_sizes, sweep_to_csv, threshold_sweep
 
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = parse_sizes(args.sizes)
     sweeps = threshold_sweep(sizes, default_grids(sizes), args.trials, args.seed)
     sys.stdout.write(sweep_to_csv(sweeps))
     for s in sweeps:

@@ -6,11 +6,16 @@ Three engines:
   vertex in the canonical-last orbit), optionally constrained by hereditary
   predicates (max degree, max edges, bipartite);
 * cubic graphs: levelwise edge insertion (subdivide two distinct edges, join
-  the new vertices).  A cubic graph with no valid inverse reduction has every
-  component built from diamonds (K4 minus an edge) whose degree-2 ports are
-  wired to each other or to triangle-free degree-3 hubs; those irreducible
-  graphs are enumerated directly and seeded into their level.  Certificates
-  dedupe each level.
+  the new vertices).  Each parent inserts one unordered edge pair per orbit
+  of its automorphism group (the first pair of the orbit in edge-pair
+  order); pairs in one orbit give isomorphic children, so only those
+  children are canonicalized.  A cubic graph with no valid inverse
+  reduction has every component built from diamonds (K4 minus an edge)
+  whose degree-2 ports are wired to each other or to triangle-free degree-3
+  hubs; those irreducible graphs are enumerated directly and seeded into
+  their level.  Certificates dedupe each level, and each level certifies
+  its own completeness: sum(n!/|Aut(G)|) over its classes must equal
+  labeled_cubic_count(n), else RuntimeError;
 * tournaments: vertex augmentation with certificate dedupe per level.
 
 Completeness of each engine is cross-checked in the tests against exact
@@ -45,12 +50,15 @@ def _apply_perm_mask(mask: int, perm) -> int:
     return out
 
 
-def _subset_orbit_reps(k: int, gens) -> list[int]:
+def _orbit_reps(masks, gens) -> list[int]:
+    """The first mask of each orbit of ``gens`` (permutations of bit
+    positions) among ``masks``, in the order given; ``masks`` must be closed
+    under the group."""
     if not gens:
-        return list(range(1 << k))
+        return list(masks)
     reps = []
     seen = set()
-    for mask in range(1 << k):
+    for mask in masks:
         if mask in seen:
             continue
         orbit = {mask}
@@ -83,7 +91,7 @@ def graphs_upto(n: int, max_degree: int | None = None,
         out = []
         for parent in levels[k - 1]:
             pcf = canonical_form(parent)
-            for mask in _subset_orbit_reps(k - 1, pcf.generators):
+            for mask in _orbit_reps(range(1 << (k - 1)), pcf.generators):
                 if max_degree is not None:
                     if mask.bit_count() > max_degree:
                         continue
@@ -305,24 +313,41 @@ def _insert_edge_pair(g: Graph, e1, e2) -> Graph:
 
 @lru_cache(maxsize=None)
 def cubic_graphs_all(n: int) -> tuple[Graph, ...]:
-    """All cubic graphs (connected or not) on n vertices, up to isomorphism."""
+    """All cubic graphs (connected or not) on n vertices, up to isomorphism.
+
+    Raises RuntimeError if the level fails its completeness certificate
+    sum(n!/|Aut G|) == labeled_cubic_count(n)."""
     if n < 4 or n % 2:
         return ()
     if n == 4:
         return (complete_graph(4),)
-    found: dict[bytes, Graph] = {}
+    found: dict[bytes, tuple[Graph, int]] = {}
+
+    def keep(g: Graph):
+        cf = canonical_form(g)
+        if cf.bytes not in found:
+            found[cf.bytes] = (g, cf.aut_order)
+
     for parent in cubic_graphs_all(n - 2):
         edges = list(parent.edges())
-        for e1, e2 in itertools.combinations(edges, 2):
-            child = _insert_edge_pair(parent, e1, e2)
-            cert = canonical_form(child).bytes
-            if cert not in found:
-                found[cert] = child
+        index = {e: i for i, e in enumerate(edges)}
+        # automorphisms of the parent, acting on edge indices
+        gens = [[index[min(g[a], g[b]), max(g[a], g[b])] for a, b in edges]
+                for g in canonical_form(parent).generators]
+        pairs = [1 << i | 1 << j
+                 for i, j in itertools.combinations(range(len(edges)), 2)]
+        for mask in _orbit_reps(pairs, gens):
+            e1 = edges[(mask & -mask).bit_length() - 1]
+            e2 = edges[mask.bit_length() - 1]
+            keep(_insert_edge_pair(parent, e1, e2))
     for g in _irreducible_unions(n):
-        cert = canonical_form(g).bytes
-        if cert not in found:
-            found[cert] = g
-    return tuple(g for _, g in sorted(found.items()))
+        keep(g)
+    labeled = sum(_factorial(n) // aut for _, aut in found.values())
+    if labeled != labeled_cubic_count(n):
+        raise RuntimeError(f"cubic graphs on {n} vertices fail the completeness "
+                           f"certificate: {labeled} labelled graphs, expected "
+                           f"{labeled_cubic_count(n)}")
+    return tuple(g for _, (g, _) in sorted(found.items()))
 
 
 @lru_cache(maxsize=None)

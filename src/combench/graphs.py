@@ -514,8 +514,10 @@ def _r_encode(bitlist: list[int]) -> bytes:
 
 
 def _r_decode(data: bytes, nbits: int) -> list[int]:
-    if 6 * len(data) < nbits:
-        raise ValueError("truncated graph6/digraph6 data")
+    need = (nbits + 5) // 6
+    if len(data) != need:
+        raise ValueError(f"graph6/digraph6 data needs {need} bytes after "
+                         f"the size, got {len(data)}")
     out = []
     for byte in data:
         val = byte - 63
@@ -558,6 +560,8 @@ def from_digraph6(s: str) -> Digraph:
     n, off = _n_decode(data[1:])
     d = Digraph(n)
     bitlist = _r_decode(data[1 + off:], n * n)
+    if any(bitlist[i * n + i] for i in range(n)):
+        raise ValueError("malformed digraph6: diagonal bit set")
     for i in range(n):
         for j in range(n):
             if bitlist[i * n + j]:

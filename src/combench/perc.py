@@ -222,6 +222,15 @@ DEFAULT_GRIDS = {
 }
 
 
+def parse_sizes(text: str) -> list[int]:
+    """Grid sizes from a comma-separated list such as "64,128"; ValueError
+    for an empty item or one that is not an integer."""
+    items = text.split(",")
+    if not all(s.strip() for s in items):
+        raise ValueError(f"grid sizes {text!r} have an empty item")
+    return [int(s) for s in items]
+
+
 def default_grids(sizes: list[int]) -> dict[int, list[float]]:
     """The default p grid of each size; ValueError for a size without one."""
     missing = [n for n in sizes if n not in DEFAULT_GRIDS]

@@ -442,9 +442,9 @@ def _overfull(seed: int, n_max: int) -> dict:
           {"sizes": (str, "32,64"), "trials": (int, 400)},
           "threshold sweeps for 2-neighbour bootstrap percolation on grids")
 def _perc(seed: int, sizes: str, trials: int) -> dict:
-    from .perc import default_grids, threshold_sweep
+    from .perc import default_grids, parse_sizes, threshold_sweep
 
-    ns = [int(s) for s in sizes.split(",") if s]
+    ns = parse_sizes(sizes)
     sweeps = threshold_sweep(ns, default_grids(ns), trials, seed)
     return {"sweeps": [{"n": s.n, "p_half": s.p_half, "reference": s.reference,
                         "estimates": s.estimates} for s in sweeps]}

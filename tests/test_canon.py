@@ -1,12 +1,14 @@
 from math import factorial
 
-from combench.canon import (brute_force_aut_order,
+from combench.canon import (_cycle_key, brute_force_aut_order,
                             brute_force_aut_order_digraph, canonical_form,
                             canonical_form_digraph, certificate,
                             min_perm_certificate)
-from combench.graphs import (complete_bipartite, complete_graph, cycle_graph,
-                             disjoint_union, petersen_graph, prism_graph,
-                             rotational_tournament, transitive_tournament)
+from combench.generate import cubic_graphs_all
+from combench.graphs import (Graph, complete_bipartite, complete_graph,
+                             cycle_graph, disjoint_union, petersen_graph,
+                             prism_graph, rotational_tournament,
+                             transitive_tournament)
 from conftest import random_graph, random_tournament
 
 
@@ -36,6 +38,37 @@ def test_aut_order_matches_brute_force(rng):
         n = rng.randrange(1, 9)
         g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
         assert canonical_form(g).aut_order == brute_force_aut_order(g)
+
+
+def _check_regular(rng, g):
+    cf = canonical_form(g)
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert certificate(g.relabel(perm)) == cf.bytes
+    assert cf.aut_order == brute_force_aut_order(g)
+
+
+def test_regular_graphs_canonical(rng):
+    """Regular graphs start from an equitable unit partition, so the search
+    is seeded by (triangles, 4-cycles) through each vertex."""
+    regular = [g for n in (4, 6, 8, 10) for g in cubic_graphs_all(n)]
+    regular += [complete_bipartite(3, 3), petersen_graph(),
+                Graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)
+                          if u < u ^ b]),                        # cube
+                Graph(8, [(u, (u + d) % 8) for u in range(8)
+                          for d in (1, 2)])]                     # C8(1,2)
+    for g in regular:
+        _check_regular(rng, g)
+    # every 4-regular graph on 8 vertices, as complements of cubic graphs:
+    # the seed key splits some and leaves others a single cell
+    splits = set()
+    for c in cubic_graphs_all(8):
+        g = c.complement()
+        assert all(g.adj[v].bit_count() == 4 for v in range(8))
+        splits.add(len({_cycle_key(g.adj, v) for v in range(8)}) > 1)
+        _check_regular(rng, g)
+    assert splits == {True, False}
 
 
 def test_non_isomorphic_distinguished():

@@ -55,11 +55,13 @@ def test_cli_exit_codes(capsys):
                  ["tour", "kelly", "&"],
                  ["color", "chromatic", "--graph6", "~~~"],
                  ["color", "chromatic", "--graph6="],
+                 ["color", "chromatic", "--graph6", "C~~~~"],
                  ["gl2", "greedy", "--n", "4", "--matrix", "1,2"],
                  ["gen", "--spec", '{"n": 12, "class_tag": "tournament"}'],
                  ["gl2", "diameter", "--n", "5"],
                  ["des", "magic", "--n", "5"],
                  ["perc", "--sizes", "48"],
+                 ["perc", "--sizes", "32,"],
                  ["fam", "katona", "--n", "-1"]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -113,6 +113,8 @@ def test_graph6_roundtrip(rng):
         assert from_graph6(to_graph6(g)).adj == g.adj
     big = random_graph(rng, 70, 0.1)
     assert from_graph6(to_graph6(big)).adj == big.adj
+    with pytest.raises(ValueError, match="bytes after the size"):
+        from_graph6("C~~~~")  # trailing bytes after K4
 
 
 def _assert_in_rows(d):
@@ -147,6 +149,8 @@ def test_digraph6_roundtrip(rng):
         assert set(r.arcs()) == {(v, u) for u, v in d.arcs()}
         _assert_in_rows(d.subdigraph(rng.getrandbits(n)))
         _assert_in_rows(d)  # untouched by the copies above
+    with pytest.raises(ValueError, match="malformed digraph6"):
+        from_digraph6("&C~~~")  # every bit set, the diagonal included
 
 
 def test_edge_list_roundtrip():

@@ -40,14 +40,15 @@ def test_generated_graphs_distinct_and_ordered():
 
 
 def test_cubic_counts():
-    assert [len(connected_cubic_graphs(n)) for n in (4, 6, 8, 10)] == [1, 2, 5, 19]
+    assert [len(connected_cubic_graphs(n))
+            for n in (4, 6, 8, 10, 12, 14)] == [1, 2, 5, 19, 85, 509]
     assert len(cubic_graphs_all(8)) == 6  # disconnected K4+K4 included
 
 
 def test_cubic_labeled_identity():
     assert labeled_cubic_count(4) == 1
     assert labeled_cubic_count(6) == 70
-    for n in (4, 6, 8, 10):
+    for n in (4, 6, 8, 10, 12, 14):
         total = sum(factorial(n) // canonical_form(g).aut_order
                     for g in cubic_graphs_all(n))
         assert total == labeled_cubic_count(n)

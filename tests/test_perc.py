@@ -1,9 +1,12 @@
 import random
 
+import pytest
+
+from combench import registry
 from combench.graphs import complete_graph, grid_graph, path_graph
 from combench.perc import (DEFAULT_GRIDS, GridFamily, MAJORITY,
                            estimate_full_infection,
-                           estimate_grid_full_infection, percolate,
+                           estimate_grid_full_infection, parse_sizes, percolate,
                            percolate_rounds_oracle, threshold_rule,
                            threshold_sweep, trial_rng, wilson_interval)
 
@@ -91,3 +94,9 @@ def test_default_grids_bracket():
     for n, grid in DEFAULT_GRIDS.items():
         assert all(0 < p < 1 for p in grid)
         assert grid == sorted(grid)
+    assert parse_sizes("64,128") == parse_sizes(" 64, 128") == [64, 128]
+    for bad in ("32,", "", "32,,64", "x"):
+        with pytest.raises(ValueError):
+            parse_sizes(bad)
+    with pytest.raises(ValueError):
+        registry.run("sec7.verstraete.percolation", {"sizes": "32,"})
