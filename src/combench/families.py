@@ -187,10 +187,14 @@ def width_of_complex(elements: list[int]) -> dict:
     # cover = (L not in Z) + (R in Z); antichain = both copies uncovered
     antichain = [elements[i] for i in range(n_el)
                  if in_zl[i] and not in_zr[i]]
-    assert len(antichain) == width, "Koenig extraction mismatch"
+    if len(antichain) != width:
+        raise RuntimeError(f"Koenig extraction mismatch: antichain of "
+                           f"{len(antichain)}, width {width}")
     for i, a in enumerate(antichain):
         for b in antichain[i + 1:]:
-            assert a & b != a and a & b != b, "antichain replay failed"
+            if a & b in (a, b):
+                raise RuntimeError("antichain replay failed: two elements "
+                                   "are comparable")
     return {"width": width, "antichain": antichain,
             "min_chain_cover": width, "matching": m_size}
 

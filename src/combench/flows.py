@@ -1,4 +1,11 @@
-"""Integer max-flow (Dinic) and the Menger-style connectivity queries built on it."""
+"""Menger-style connectivity queries and the max-flow they rest on.
+
+Arc flows (arc-disjoint paths, so edge and arc connectivity) are unit-capacity
+augmenting paths found by BFS straight on the bitset out-rows, with no flow
+network.  ``FlowNet`` (Dinic) remains for the networks with other
+capacities: the split-vertex networks of vertex connectivity, ``alpha_k``'s
+transportation network and ``structure``'s density flow.
+"""
 
 from __future__ import annotations
 
@@ -81,14 +88,49 @@ class FlowNet:
 
 
 def arc_flow(rows, s: int, t: int, limit: int = INF) -> int:
-    """Max number of arc-disjoint s-t paths over the out-rows ``rows``.
+    """Max number of arc-disjoint s-t paths over the out-rows ``rows``, or
+    ``limit`` if that is smaller.
 
-    A Graph's symmetric ``adj`` rows give its edge-disjoint paths."""
-    net = FlowNet(len(rows))
-    for u, row in enumerate(rows):
-        for v in bits(row):
-            net.add(u, v, 1)
-    return net.max_flow(s, t, limit)
+    BFS augmenting paths on the bitsets: ``used[u]`` holds the arcs u->v
+    that carry flow and ``back[v]`` is its transpose, so the residual row of
+    u is ``(rows[u] & ~used[u]) | back[u]``.  Augmenting along u->v cancels
+    the unit on v->u when there is one; that is how a Graph's symmetric
+    ``adj`` rows give its edge-disjoint paths."""
+    n = len(rows)
+    used = [0] * n
+    back = [0] * n
+    tbit = 1 << t
+    flow = 0
+    while flow < limit:
+        parent = [-1] * n
+        seen = 1 << s
+        queue = [s]
+        for u in queue:
+            nxt = ((rows[u] & ~used[u]) | back[u]) & ~seen
+            if nxt & tbit:
+                parent[t] = u
+                break
+            seen |= nxt
+            while nxt:
+                low = nxt & -nxt
+                v = low.bit_length() - 1
+                parent[v] = u
+                queue.append(v)
+                nxt ^= low
+        else:
+            return flow
+        v = t
+        while v != s:
+            u = parent[v]
+            if back[u] >> v & 1:
+                used[v] &= ~(1 << u)
+                back[u] &= ~(1 << v)
+            else:
+                used[u] |= 1 << v
+                back[v] |= 1 << u
+            v = u
+        flow += 1
+    return flow
 
 
 def vertex_flow(rows, s: int, t: int, limit: int = INF) -> int:
@@ -105,7 +147,10 @@ def vertex_flow(rows, s: int, t: int, limit: int = INF) -> int:
 
 
 def _root_cut(rows, best: int) -> int:
-    """min(best, min over t of the arc flow from vertex 0 to t)."""
+    """min(best, min over t of the arc flow from vertex 0 to t).
+
+    Callers start ``best`` at the minimum degree (lambda <= delta), so every
+    flow stops at ``best`` without a last failing search."""
     for t in range(1, len(rows)):
         if best == 0:
             break
@@ -128,7 +173,7 @@ def _pair_cut(rows, pairs) -> int:
 def edge_connectivity(g: Graph) -> int:
     if g.n <= 1:
         return 0
-    return _root_cut(g.adj, INF)
+    return _root_cut(g.adj, min(row.bit_count() for row in g.adj))
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -145,7 +190,8 @@ def arc_strong_connectivity(d: Digraph) -> int:
     the flows from 0 (over ``out``) and to 0 (from 0 over ``inn``) suffice."""
     if d.n <= 1:
         return 0
-    return _root_cut(d.inn, _root_cut(d.out, INF))
+    delta = min(row.bit_count() for row in d.out + d.inn)
+    return _root_cut(d.inn, _root_cut(d.out, delta))
 
 
 def vertex_strong_connectivity(d: Digraph) -> int:

@@ -78,18 +78,22 @@ def _orbit_reps(masks, gens) -> list[int]:
 def graphs_upto(n: int, max_degree: int | None = None,
                 max_edges: int | None = None,
                 bipartite_only: bool = False,
-                final_regular: int | None = None) -> dict[int, list[Graph]]:
+                final_regular: int | None = None,
+                base: tuple[Graph, ...] | None = None) -> dict[int, list[Graph]]:
     """All graphs on 1..n vertices up to isomorphism, one list per order.
 
     The constraints must be hereditary under vertex deletion, which max
     degree, max edge count and bipartiteness are.  ``final_regular`` adds
     admissible completability pruning for the target order n (used by the
-    independent oracle for cubic generation).
+    independent oracle for cubic generation).  ``base``, when given, is the
+    complete level of some order m < n under the same constraints; the
+    levels m+1..n are built from it, and only those are returned.
     """
-    levels: dict[int, list[Graph]] = {1: [Graph(1)]}
-    for k in range(2, n + 1):
+    level = [Graph(1)] if base is None else list(base)
+    levels: dict[int, list[Graph]] = {1: level} if base is None else {}
+    for k in range(level[0].n + 1, n + 1):
         out = []
-        for parent in levels[k - 1]:
+        for parent in level:
             pcf = canonical_form(parent)
             for mask in _orbit_reps(range(1 << (k - 1)), pcf.generators):
                 if max_degree is not None:
@@ -116,7 +120,7 @@ def graphs_upto(n: int, max_degree: int | None = None,
                 if ccf.orbits[new_v] == ccf.orbits[canon_last]:
                     out.append((ccf.bytes, child))
         out.sort(key=lambda t: t[0])
-        levels[k] = [g for _, g in out]
+        level = levels[k] = [g for _, g in out]
     return levels
 
 
@@ -138,13 +142,12 @@ def all_graphs(n: int) -> list[Graph]:
 
 
 @lru_cache(maxsize=None)
-def _all_graphs_cached(n: int) -> tuple[Graph, ...]:
-    return tuple(all_graphs(n))
-
-
 def all_graphs_cached(n: int) -> tuple[Graph, ...]:
-    """Memoized all_graphs; heavy shared input for the checker suites."""
-    return _all_graphs_cached(n)
+    """Memoized all_graphs, each order built once per process from the
+    cached order below it; heavy shared input for the checker suites."""
+    if n <= 1:
+        return tuple(all_graphs(n))
+    return tuple(graphs_upto(n, base=all_graphs_cached(n - 1))[n])
 
 
 def polya_graph_count(n: int) -> int:

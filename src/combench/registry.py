@@ -243,7 +243,8 @@ def _two_factor(seed: int, n: int) -> dict:
 
     rng = _r.Random(seed)
     yes = no = 0
-    assert two_factor_one_directed(directed_cycle(n)) is not None
+    if two_factor_one_directed(directed_cycle(n)) is None:
+        raise RuntimeError(f"two_factor_one_directed misses the directed {n}-cycle")
     for _ in range(20):
         d = Digraph(n)
         for u in range(n):
@@ -733,7 +734,8 @@ def _pm(seed: int, n: int) -> dict:
     from .tournaments import cut_vertices, is_path_mergeable
 
     rng = _r.Random(seed)
-    assert is_path_mergeable(directed_cycle(n))
+    if not is_path_mergeable(directed_cycle(n)):
+        raise RuntimeError(f"is_path_mergeable rejects the directed {n}-cycle")
     consistent = True
     for _ in range(30):
         d = Digraph(n)

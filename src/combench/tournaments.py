@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flows
-from .graphs import Digraph, Graph, bits, is_strongly_connected
+from .graphs import Digraph, Graph, bits, is_strongly_connected, reachable_set
 
 
 class NotRegularError(ValueError):
@@ -73,8 +73,11 @@ def decompose_arc_disjoint_strong(d: Digraph, k: int) -> StrongDecomposition | N
     """Partition the arcs into k spanning strong classes, or None after an
     exhaustive search.
 
-    Pruning: a class together with all still-unassigned arcs must already be
-    strongly connected, otherwise no completion can fix it.
+    Arcs are assigned in order, so the unassigned arcs after arc i are
+    always the suffix i+1..m-1, whose out- and in-rows are precomputed.
+    Each class keeps its out-rows, in-rows and arc count.  Pruning: a class
+    together with the unassigned suffix must already be strongly connected,
+    otherwise no completion can fix it.
     """
     n = d.n
     arcs = list(d.arcs())
@@ -84,46 +87,50 @@ def decompose_arc_disjoint_strong(d: Digraph, k: int) -> StrongDecomposition | N
     if flows.arc_strong_connectivity(d) < k:
         return None  # every cut must be crossed by each class
 
-    assign = [-1] * m
-    class_rows = [[0] * n for _ in range(k)]  # out-rows per class
-    solution: list[list[int]] | None = None
+    full = (1 << n) - 1
+    # suffix_out[i] / suffix_in[i]: the rows of the unassigned arcs i..m-1
+    suffix_out = [[0] * n] * (m + 1)
+    suffix_in = [[0] * n] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        u, v = arcs[i]
+        suffix_out[i] = list(suffix_out[i + 1])
+        suffix_out[i][u] |= 1 << v
+        suffix_in[i] = list(suffix_in[i + 1])
+        suffix_in[i][v] |= 1 << u
+
+    class_out = [[0] * n for _ in range(k)]
+    class_in = [[0] * n for _ in range(k)]
+    class_arcs = [0] * k
+
+    def strong(out, inn) -> bool:
+        return (reachable_set(out, 0, full) == full
+                and reachable_set(inn, 0, full) == full)
 
     def potential_strong(c: int, next_arc: int) -> bool:
-        rows = [class_rows[c][v] for v in range(n)]
-        for j in range(next_arc, m):
-            if assign[j] == -1:
-                u, v = arcs[j]
-                rows[u] |= 1 << v
-        return is_strongly_connected(Digraph.from_rows(n, rows))
+        return strong([a | b for a, b in zip(class_out[c], suffix_out[next_arc])],
+                      [a | b for a, b in zip(class_in[c], suffix_in[next_arc])])
 
     def rec(i: int, used: int) -> bool:
-        nonlocal solution
         if i == m:
-            if all(is_strongly_connected(Digraph.from_rows(n, class_rows[c]))
-                   for c in range(k)):
-                solution = list(assign)
-                return True
-            return False
+            return all(strong(class_out[c], class_in[c]) for c in range(k))
         u, v = arcs[i]
-        remaining = m - i
-        deficit = sum(max(0, n - sum(r.bit_count() for r in class_rows[c]))
-                      for c in range(k))
-        if deficit > remaining:
+        deficit = sum(max(0, n - count) for count in class_arcs)
+        if deficit > m - i:
             return False
         for c in range(min(used + 1, k)):
-            class_rows[c][u] |= 1 << v
-            assign[i] = c
+            class_out[c][u] |= 1 << v
+            class_in[c][v] |= 1 << u
+            class_arcs[c] += 1
             if potential_strong(c, i + 1) and rec(i + 1, max(used, c + 1)):
                 return True
-            class_rows[c][u] &= ~(1 << v)
-            assign[i] = -1
+            class_out[c][u] &= ~(1 << v)
+            class_in[c][v] &= ~(1 << u)
+            class_arcs[c] -= 1
         return False
 
     if rec(0, 0):
-        classes: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-        for i, c in enumerate(solution):
-            classes[c].append(arcs[i])
-        return StrongDecomposition(k, classes)
+        return StrongDecomposition(k, [[(u, v) for u, v in arcs if out[u] >> v & 1]
+                                       for out in class_out])
     return None
 
 

@@ -230,8 +230,33 @@ def test_flow_connectivities(rng):
         lam, kappa = _cut_oracles(d.n, d.out)
         assert flows.arc_strong_connectivity(d) == lam
         assert flows.vertex_strong_connectivity(d) == kappa
-    for _ in range(40):
-        g = random_graph(rng, rng.randrange(1, 9), rng.choice((0.3, 0.6, 0.9)))
+    graphs = [random_graph(rng, rng.randrange(1, 9), rng.choice((0.3, 0.6, 0.9)))
+              for _ in range(40)]
+    for g in graphs:
         lam, kappa = _cut_oracles(g.n, g.adj)
         assert flows.edge_connectivity(g) == lam
         assert flows.vertex_connectivity(g) == kappa
+
+    def unit_flow(rows, s, t, limit):
+        net = flows.FlowNet(len(rows))
+        for u, row in enumerate(rows):
+            for v in bits(row):
+                net.add(u, v, 1)
+        return net.max_flow(s, t, limit)
+
+    # the second augmenting path 0-3-2-1-4-5 runs against the first path's
+    # unit on 1->2 and must cancel it, or 6-2-1-7 becomes a third path
+    rows = [0] * 8
+    for u, v in ((0, 1), (1, 2), (2, 5), (0, 3), (3, 2), (1, 4), (4, 5),
+                 (0, 6), (6, 2), (1, 7), (7, 5)):
+        rows[u] |= 1 << v
+    assert flows.arc_flow(rows, 0, 5) == unit_flow(rows, 0, 5, flows.INF) == 2
+    # the bitset arc flow against a unit-capacity network; a graph's
+    # symmetric rows exercise the cancellation of opposite units
+    for rows in [d.out for d in digraphs[-40:]] + [g.adj for g in graphs]:
+        for s in range(len(rows)):
+            for t in range(len(rows)):
+                if s != t:
+                    for limit in (1, 2, 3, flows.INF):
+                        assert (flows.arc_flow(rows, s, t, limit)
+                                == unit_flow(rows, s, t, limit))

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import combench
 from combench.families import (brute_force_width, independence_complex,
                                katona_bound, layer_profile, max_family,
                                milner_bound, random_graph_width,
@@ -117,3 +122,27 @@ def test_random_graph_width():
 def test_width_complete_graph_trivial():
     assert width_independence_complex(complete_graph(4)) == 4  # singletons
     assert width_independence_complex(empty_graph(3)) == 3
+
+
+def test_width_replay_check_survives_optimize():
+    """Under python -O a corrupted matching still fails the Koenig check."""
+    script = """if True:
+        import sys
+        from combench import families, registry
+        if not sys.flags.optimize:
+            sys.exit("expected python -O")
+        match = families._hopcroft_karp
+
+        def corrupted(n_left, n_right, adj):
+            size, match_l, match_r = match(n_left, n_right, adj)
+            return size - 1, match_l, match_r
+
+        families._hopcroft_karp = corrupted
+        registry.run("sec4.falgas-ravry.width", {"n_max": 5})
+    """
+    src = str(Path(combench.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Koenig extraction mismatch" in proc.stderr

@@ -4,15 +4,15 @@ import pytest
 
 from combench.canon import canonical_form, canonical_form_digraph, certificate
 from combench.generate import (GenSpec, Unsatisfiable, all_graphs,
-                               connected_cubic_graphs, cubic_graphs_all,
-                               cyclically_4_edge_connected, generate,
-                               graphs_upto, labeled_cubic_count,
+                               all_graphs_cached, connected_cubic_graphs,
+                               cubic_graphs_all, cyclically_4_edge_connected,
+                               generate, graphs_upto, labeled_cubic_count,
                                labeled_regular_tournament_count,
                                max_aut_3connected_cubic, polya_graph_count,
                                regular_tournaments, tournaments)
 from combench.graphs import (complete_graph, is_bipartite, is_connected,
                              moebius_kantor_graph, petersen_graph,
-                             prism_graph)
+                             prism_graph, to_graph6)
 
 KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -37,6 +37,10 @@ def test_generated_graphs_distinct_and_ordered():
     certs = [certificate(g) for g in gs]
     assert certs == sorted(certs)
     assert len(set(certs)) == len(certs)
+    # the cached levels, each built from the one below, match one full build
+    cached = [[to_graph6(g) for g in all_graphs_cached(n)] for n in range(2, 8)]
+    full = graphs_upto(7)
+    assert cached == [[to_graph6(g) for g in full[n]] for n in range(2, 8)]
 
 
 def test_cubic_counts():

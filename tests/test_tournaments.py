@@ -47,6 +47,12 @@ def test_decompose_all_two_arc_strong_n6():
             dec = decompose_arc_disjoint_strong(t, 2)
             assert dec is not None and dec.verify(t)
     assert checked > 0
+    # three classes to full depth: the 3-arc-strong tournaments on 7 vertices
+    three = [t for t in tournaments(7) if lambda_arc(t) >= 3]
+    assert len(three) == 3
+    for t in three:
+        dec = decompose_arc_disjoint_strong(t, 3)
+        assert dec is not None and len(dec.arc_classes) == 3 and dec.verify(t)
 
 
 def test_strong_decomposition_verify_rejects_bad():
