@@ -18,10 +18,17 @@ whose (path invariant, adjacency string) is lexicographically greatest.
   search, which removes levels of the tree wherever that colouring splits.
   Irregular graphs and digraphs never compute it.
 
-Leaves that tie with the first or best leaf yield automorphisms;
-automorphisms that fix the current prefix prune sibling branches, and the
-collected generators give the exact group order by orbit-stabilizer along
-a base, keeping every Schreier generator of each stabilizer (no sifting).
+Leaves that tie with the first or best leaf yield automorphism generators,
+and one orbit routine reads every group fact off them.  A child is pruned
+when its orbit under the generators fixing the prefix meets an explored
+sibling.  |Aut| comes from the first path (the chain of first children):
+if p is its first k vertices and c the next, each w in c's orbit under the
+stabilizer of p is either explored, and then ties the first leaf through a
+generator that fixes p and maps w to c, or pruned as the image of an
+explored sibling.  So the generators fixing p give that whole orbit; the
+first leaf is discrete, so only the identity fixes the whole path, and
+|Aut| is the product of the orbit sizes (orbit-stabilizer; McKay,
+"Practical graph isomorphism", Congr. Numer. 30 (1981)).
 
 Works for graphs and digraphs, with an optional initial vertex coloring
 (used e.g. to canonicalize hypergraph incidence structures).
@@ -130,6 +137,25 @@ def _cycle_key(adj, v: int) -> tuple[int, int]:
     return tri, quad
 
 
+def _orbit(v: int, gens) -> set[int]:
+    """The orbit of v under the group the generators generate."""
+    orbit = {v}
+    frontier = [v]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = g[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def _fixing(gens, fixed) -> list:
+    """The generators that fix every vertex in ``fixed``."""
+    return [g for g in gens if all(g[u] == u for u in fixed)]
+
+
 class _Search:
     def __init__(self, n: int, rows_out, rows_in, colors):
         self.n = n
@@ -149,6 +175,7 @@ class _Search:
         self.first_label: list[int] | None = None
         self.first_cert: bytes | None = None
         self.first_inv: list | None = None
+        self.first_path: list[int] | None = None
         self.generators: list[tuple[int, ...]] = []
 
     def cert_of(self, order: list[int]) -> bytes:
@@ -180,15 +207,16 @@ class _Search:
                 cells, more = _refine(self.rows_out, None, parts,
                                       [_mask(p) for p in parts])
                 trace += ((0, tuple(keys), tuple(map(len, parts))),) + more
-        self.descend(cells, [trace], 0)
+        self.descend(cells, [trace], [])
 
-    def record_leaf(self, cells, path_inv):
+    def record_leaf(self, cells, path_inv, path):
         order = [c[0] for c in cells]
         cert = self.cert_of(order)
         if self.first_label is None:
             self.first_label = order
             self.first_cert = cert
             self.first_inv = list(path_inv)
+            self.first_path = path
         else:
             if path_inv == self.first_inv and cert == self.first_cert:
                 self.add_automorphism(self.first_label, order)
@@ -209,9 +237,10 @@ class _Search:
         if tperm != tuple(range(self.n)) and tperm not in self.generators:
             self.generators.append(tperm)
 
-    def descend(self, cells, path_inv, fixed_mask):
+    def descend(self, cells, path_inv, path):
         """Search below an equitable partition; path_inv holds the
-        refinement traces from the root to this node."""
+        refinement traces from the root to this node, path the vertices
+        individualized on the way."""
         # A branch whose invariant path is lexicographically below the best
         # path cannot contain the canonical leaf or tie it; it is only kept
         # while it still follows the first path (automorphism detection).
@@ -227,12 +256,13 @@ class _Search:
                 target = idx
                 break
         if target is None:
-            self.record_leaf(cells, path_inv)
+            self.record_leaf(cells, path_inv, path)
             return
         cell = cells[target]
         explored: list[int] = []
         for v in sorted(cell):
-            if self.prunable(v, explored, fixed_mask):
+            if explored and not _orbit(
+                    v, _fixing(self.generators, path)).isdisjoint(explored):
                 continue
             explored.append(v)
             rest = [w for w in cell if w != v]
@@ -240,72 +270,7 @@ class _Search:
             # cells was equitable, so {v} is the only splitter needed
             refined, trace = _refine(self.rows_out, self.rows_in, new_cells,
                                      [1 << v])
-            self.descend(refined, path_inv + [trace], fixed_mask | (1 << v))
-
-    def prunable(self, v: int, explored: list[int], fixed_mask: int) -> bool:
-        """True if some automorphism fixing the prefix maps v into explored."""
-        if not explored or not self.generators:
-            return False
-        gens = [g for g in self.generators
-                if all(g[u] == u for u in bits(fixed_mask))]
-        if not gens:
-            return False
-        orbit = {v}
-        frontier = [v]
-        targets = set(explored)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g[x]
-                if y in targets:
-                    return True
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return False
-
-
-def _group_order(n: int, generators: list[tuple[int, ...]]) -> int:
-    """Order of the permutation group via orbit-stabilizer.
-
-    For each base point the orbit size multiplies into the order, and every
-    distinct non-identity Schreier generator is kept, unsifted, as a
-    generator of the point stabilizer."""
-    if not generators:
-        return 1
-    order = 1
-    gens = [list(g) for g in generators]
-    for base_pt in range(n):
-        # orbit of base_pt with transversal
-        transversal = {base_pt: list(range(n))}
-        frontier = [base_pt]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g[x]
-                if y not in transversal:
-                    t = transversal[x]
-                    transversal[y] = [g[t[i]] for i in range(n)]
-                    frontier.append(y)
-        order *= len(transversal)
-        # stabilizer generators via Schreier's lemma
-        new_gens = []
-        seen = set()
-        for x, t in transversal.items():
-            for g in gens:
-                y = g[x]
-                rep = transversal[y]
-                rep_inv = [0] * n
-                for i in range(n):
-                    rep_inv[rep[i]] = i
-                s = tuple(rep_inv[g[t[i]]] for i in range(n))
-                if s != tuple(range(n)) and s not in seen:
-                    seen.add(s)
-                    new_gens.append(list(s))
-        gens = new_gens
-        if not gens:
-            break
-    return order
+            self.descend(refined, path_inv + [trace], path + [v])
 
 
 def _canon(n: int, rows_out, rows_in, colors) -> CanonicalForm:
@@ -317,24 +282,17 @@ def _canon(n: int, rows_out, rows_in, colors) -> CanonicalForm:
     labeling = [0] * n
     for i, v in enumerate(order):
         labeling[v] = i
-    # orbits from the discovered generators
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in search.generators:
-        for v in range(n):
-            a, b = find(v), find(g[v])
-            if a != b:
-                parent[a] = b
-    orbits = [find(v) for v in range(n)]
-    aut = _group_order(n, search.generators)
-    return CanonicalForm(bytes(search.best_cert), aut, labeling, orbits,
-                         list(search.generators))
+    gens = search.generators
+    orbits: list = [None] * n   # each orbit is named by its least vertex
+    for v in range(n):
+        if orbits[v] is None:
+            for w in _orbit(v, gens):
+                orbits[w] = v
+    path = search.first_path
+    aut = 1
+    for k, v in enumerate(path):
+        aut *= len(_orbit(v, _fixing(gens, path[:k])))
+    return CanonicalForm(bytes(search.best_cert), aut, labeling, orbits, gens)
 
 
 def canonical_form(g: Graph, colors=None) -> CanonicalForm:
@@ -347,92 +305,3 @@ def canonical_form_digraph(d: Digraph, colors=None) -> CanonicalForm:
 
 def certificate(g: Graph) -> bytes:
     return canonical_form(g).bytes
-
-
-# ---------------------------------------------------------------------------
-# independent oracles (plain backtracking, no refinement machinery)
-
-
-def brute_force_aut_order(g: Graph) -> int:
-    """Count adjacency-preserving permutations by direct backtracking."""
-    n = g.n
-    degs = [g.adj[v].bit_count() for v in range(n)]
-    count = 0
-
-    def place(v: int, perm: list[int], used: int):
-        nonlocal count
-        if v == n:
-            count += 1
-            return
-        for w in range(n):
-            if used >> w & 1 or degs[v] != degs[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if (g.adj[v] >> u & 1) != (g.adj[w] >> perm[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                perm.append(w)
-                place(v + 1, perm, used | 1 << w)
-                perm.pop()
-        return
-
-    place(0, [], 0)
-    return count
-
-
-def brute_force_aut_order_digraph(d: Digraph) -> int:
-    n = d.n
-    rows_in = d.inn
-    count = 0
-
-    def place(v: int, perm: list[int], used: int):
-        nonlocal count
-        if v == n:
-            count += 1
-            return
-        for w in range(n):
-            if used >> w & 1:
-                continue
-            if d.out[v].bit_count() != d.out[w].bit_count():
-                continue
-            if rows_in[v].bit_count() != rows_in[w].bit_count():
-                continue
-            ok = True
-            for u in range(v):
-                if (d.out[v] >> u & 1) != (d.out[w] >> perm[u] & 1):
-                    ok = False
-                    break
-                if (d.out[u] >> v & 1) != (d.out[perm[u]] >> w & 1):
-                    ok = False
-                    break
-            if ok:
-                perm.append(w)
-                place(v + 1, perm, used | 1 << w)
-                perm.pop()
-
-    place(0, [], 0)
-    return count
-
-
-def min_perm_certificate(g: Graph) -> bytes:
-    """Lexicographically least adjacency encoding over all permutations.
-
-    Factorial-time oracle used to validate canonical-form behaviour on
-    tiny graphs (two graphs are isomorphic iff these encodings agree).
-    """
-    from itertools import permutations
-
-    n = g.n
-    nbytes = (n + 7) // 8
-    best = None
-    for perm in permutations(range(n)):
-        radj = [0] * n
-        for u in range(n):
-            for w in bits(g.adj[u]):
-                radj[perm[u]] |= 1 << perm[w]
-        code = b"".join(radj[v].to_bytes(nbytes, "little") for v in range(n))
-        if best is None or code < best:
-            best = code
-    return best

@@ -183,8 +183,8 @@ def edge_chromatic_class(g: Graph) -> tuple[int, int]:
     delta = max(a.bit_count() for a in g.adj)
     if k_edge_colorable(g, delta) is not None:
         return delta, 1
-    coloring = k_edge_colorable(g, delta + 1)
-    assert coloring is not None, "Vizing violation indicates a bug"
+    if k_edge_colorable(g, delta + 1) is None:
+        raise RuntimeError("no (Delta+1)-edge-colouring: Vizing violated")
     return delta + 1, 2
 
 
@@ -240,9 +240,11 @@ def equitable_coloring(g: Graph, k: int, allow_ore: bool = False) -> Coloring:
         col = _equitable_exact(g, k)
     else:
         raise PreconditionUnmet("need Delta < k, or theta < 2k with allow_ore")
-    assert col is not None, "guaranteed by the cited theorems"
+    if col is None:
+        raise RuntimeError("no equitable colouring, against the cited theorems")
     coloring = Coloring(col, k)
-    assert is_proper(g, col) and is_equitable(coloring)
+    if not (is_proper(g, col) and is_equitable(coloring)):
+        raise RuntimeError("equitable colouring is not proper and equitable")
     return coloring
 
 

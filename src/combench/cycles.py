@@ -191,7 +191,8 @@ def lollipop_walk(g: Graph, ham: tuple, edge: tuple) -> LollipopTrace:
         choices = [w for w in bits(g.adj[free])
                    if w != path_prev
                    and ((free, w) if free < w else (w, free)) != banned]
-        assert len(choices) == 1, "cubic walk must be forced"
+        if len(choices) != 1:
+            raise RuntimeError("cubic walk must be forced")
         w = choices[0]
         if w == x:
             end = tuple(path)

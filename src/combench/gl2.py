@@ -36,16 +36,7 @@ def unpack(key: int, n: int) -> tuple[int, ...]:
 
 
 def is_invertible(rows, n: int) -> bool:
-    work = list(rows)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if work[r] >> c & 1), None)
-        if piv is None:
-            return False
-        work[c], work[piv] = work[piv], work[c]
-        for r in range(n):
-            if r != c and work[r] >> c & 1:
-                work[r] ^= work[c]
-    return True
+    return len(rows) == n and _dependent_row(list(rows)) is None
 
 
 def apply_word(rows, word) -> tuple[int, ...]:
@@ -240,10 +231,10 @@ def greedy_reduce(rows, n: int):
     above, serving rows from accumulators built out of the block's pivot
     rows, which are exact unit vectors by that point.
 
-    The count is >= the Cayley distance and tracks n^2/log2(n).
+    The count is >= the Cayley distance and tracks n^2/log2(n).  A
+    singular matrix raises SingularError: some pivot block then cannot be
+    patched to full rank from the rows below it.
     """
-    if not is_invertible(rows, n):
-        raise SingularError("matrix not invertible over GF(2)")
     work = list(rows)
     ops: list[tuple[int, int]] = []
 
@@ -272,15 +263,18 @@ def greedy_reduce(rows, n: int):
         def pats():
             return [(work[r] & bmask) >> b0 for r in range(b0, b1)]
 
-        # patch the pivot block to invertibility from rows below (they exist:
-        # the trailing square submatrix stays invertible through LU steps)
+        # patch the pivot block to full rank from rows below; when no row
+        # can, the trailing square submatrix is singular, and so is the
+        # matrix (LU steps keep the rank)
         while True:
             dep = _dependent_row(pats())
             if dep is None:
                 break
             span = _row_span(pats())
-            src = next(r for r in range(b1, n)
-                       if ((work[r] & bmask) >> b0) not in span)
+            src = next((r for r in range(b1, n)
+                        if ((work[r] & bmask) >> b0) not in span), None)
+            if src is None:
+                raise SingularError("matrix not invertible over GF(2)")
             add(b0 + dep, src)
         jordan(b0, b1)
         targets = [r for r in range(b1, n) if work[r] & bmask]

@@ -1,15 +1,15 @@
 from math import factorial
 
-from combench.canon import (_cycle_key, brute_force_aut_order,
-                            brute_force_aut_order_digraph, canonical_form,
-                            canonical_form_digraph, certificate,
-                            min_perm_certificate)
-from combench.generate import cubic_graphs_all
-from combench.graphs import (Graph, complete_bipartite, complete_graph,
-                             cycle_graph, disjoint_union, petersen_graph,
-                             prism_graph, rotational_tournament,
-                             transitive_tournament)
+from combench.canon import (_cycle_key, canonical_form,
+                            canonical_form_digraph, certificate)
+from combench.generate import all_graphs, cubic_graphs_all, tournaments
+from combench.graphs import (Digraph, Graph, complete_bipartite,
+                             complete_graph, cycle_graph, disjoint_union,
+                             petersen_graph, prism_graph,
+                             rotational_tournament, transitive_tournament)
 from conftest import random_graph, random_tournament
+from oracles import (brute_force_aut_order, brute_force_aut_order_digraph,
+                     min_perm_certificate)
 
 
 def test_known_aut_orders():
@@ -33,11 +33,26 @@ def test_certificate_invariance(rng):
         assert certificate(g) == certificate(g.relabel(perm))
 
 
+def _random_colors(rng, n):
+    k = rng.choice([2, 3])
+    return [rng.randrange(k) for _ in range(n)]
+
+
 def test_aut_order_matches_brute_force(rng):
     for _ in range(40):
         n = rng.randrange(1, 9)
         g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
         assert canonical_form(g).aut_order == brute_force_aut_order(g)
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            assert canonical_form(g).aut_order == brute_force_aut_order(g)
+    # vertex-coloured inputs (hypergraph incidence certificates use them)
+    for _ in range(60):
+        n = rng.randrange(1, 8)
+        g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
+        colors = _random_colors(rng, n)
+        assert (canonical_form(g, colors=colors).aut_order
+                == brute_force_aut_order(g, colors))
 
 
 def _check_regular(rng, g):
@@ -106,6 +121,21 @@ def test_digraph_canonical(rng):
                 == canonical_form_digraph(relabeled).bytes)
         assert (canonical_form_digraph(d).aut_order
                 == brute_force_aut_order_digraph(d))
+    for n in range(1, 7):
+        for d in tournaments(n):
+            assert (canonical_form_digraph(d).aut_order
+                    == brute_force_aut_order_digraph(d))
+    for _ in range(60):
+        n = rng.randrange(1, 8)
+        d = Digraph(n)
+        p = rng.choice([0.25, 0.5, 0.75])
+        for u in range(n):
+            for v in range(n):
+                if u != v and rng.random() < p:
+                    d.add_arc(u, v)
+        colors = _random_colors(rng, n)
+        assert (canonical_form_digraph(d, colors=colors).aut_order
+                == brute_force_aut_order_digraph(d, colors))
 
 
 def test_transitive_tournament_rigid():

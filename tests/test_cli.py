@@ -57,6 +57,7 @@ def test_cli_exit_codes(capsys):
                  ["color", "chromatic", "--graph6="],
                  ["color", "chromatic", "--graph6", "C~~~~"],
                  ["gl2", "greedy", "--n", "4", "--matrix", "1,2"],
+                 ["gl2", "greedy", "--n", "2", "--matrix", "3,3"],
                  ["gen", "--spec", '{"n": 12, "class_tag": "tournament"}'],
                  ["gl2", "diameter", "--n", "5"],
                  ["des", "magic", "--n", "5"],

@@ -1,7 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import combench
 from combench.coloring import (BadPattern, BadPrecolouring, Coloring,
                                PreconditionUnmet, arrows_vertex,
                                chord_diagram_from_word, chromatic_number,
@@ -104,6 +109,26 @@ def test_equitable_ore_fallback():
     g = Graph(5, list(g.edges()) + [(0, 4)])
     col = equitable_coloring(g, 4, allow_ore=True)
     assert is_proper(g, col.assignment) and is_equitable(col)
+
+
+def test_equitable_replay_check_survives_optimize():
+    """Under python -O a colouring that fails the equitability replay is
+    still rejected."""
+    script = """if True:
+        import sys
+        from combench import coloring
+        from combench.graphs import cycle_graph
+        if not sys.flags.optimize:
+            sys.exit("expected python -O")
+        coloring.is_equitable = lambda c: False
+        coloring.equitable_coloring(cycle_graph(7), 3)
+    """
+    src = str(Path(combench.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "is not proper and equitable" in proc.stderr
 
 
 def test_improper_partition():

@@ -8,9 +8,10 @@ import pytest
 
 import combench
 
-from combench.gl2 import (SingularError, apply_word, diameter, distance,
-                          greedy_reduce, hard_instance_search, identity,
-                          is_invertible, pack, random_invertible, unpack)
+from combench.gl2 import (SingularError, _row_span, apply_word, diameter,
+                          distance, greedy_reduce, hard_instance_search,
+                          identity, is_invertible, pack, random_invertible,
+                          unpack)
 
 
 def invert(rows, n):
@@ -129,6 +130,39 @@ def test_greedy_reduce_larger_sizes(rng):
             cnt, ops = greedy_reduce(m, n)
             assert apply_word(m, ops) == identity(n)
     assert greedy_reduce(identity(16), 16)[0] == 0
+
+
+def test_greedy_reduce_every_small_matrix():
+    """Every n x n matrix for n <= 4, against the rank oracle |row span|:
+    singular ones raise SingularError, the others reduce to the identity."""
+    for n in range(1, 5):
+        for key in range(1 << (n * n)):
+            rows = unpack(key, n)
+            invertible = len(_row_span(list(rows))) == 1 << n
+            assert is_invertible(rows, n) == invertible
+            if invertible:
+                cnt, word = greedy_reduce(rows, n)
+                assert cnt == len(word)
+                assert apply_word(rows, word) == identity(n)
+            else:
+                with pytest.raises(SingularError):
+                    greedy_reduce(rows, n)
+
+
+def test_greedy_reduce_rejects_singular(rng):
+    """Singular matrices wide enough for pivot blocks of several rows: one
+    row is replaced by the sum of a random nonempty set of the others."""
+    for n in (16, 24, 40, 64):
+        for _ in range(5):
+            rows = list(random_invertible(n, rng))
+            i = rng.randrange(n)
+            others = [r for r in range(n) if r != i]
+            rows[i] = 0
+            for r in rng.sample(others, rng.randrange(1, n)):
+                rows[i] ^= rows[r]
+            assert not is_invertible(rows, n)
+            with pytest.raises(SingularError):
+                greedy_reduce(rows, n)
 
 
 def test_greedy_count_band(rng):
