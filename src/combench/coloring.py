@@ -690,7 +690,8 @@ def hyper_strong_chromatic(h) -> dict:
     """chi_s (clique expansion), chi_d (max over derived graphs), rank."""
     from .graphs import Hypergraph
 
-    assert isinstance(h, Hypergraph)
+    if not isinstance(h, Hypergraph):
+        raise TypeError(f"need a Hypergraph, not {type(h).__name__}")
     expansion = Graph(h.n)
     for e in h.edges:
         vs = list(bits(e))

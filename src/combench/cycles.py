@@ -181,7 +181,8 @@ def lollipop_walk(g: Graph, ham: tuple, edge: tuple) -> LollipopTrace:
         path = [ham[(i - j) % n] for j in range(n)]
     else:
         path = [ham[(i + j) % n] for j in range(n)]
-    assert path[0] == x and path[-1] == y
+    if path[0] != x or path[-1] != y:
+        raise RuntimeError("Hamiltonian path does not run from x to y")
 
     banned = key  # the edge whose re-insertion is not allowed on this move
     steps = 0
@@ -410,7 +411,8 @@ def _extract_path(d: Digraph, reach, x: int, y: int, mask: int):
             if d.out[w] >> cur & 1:
                 prev = w
                 break
-        assert prev is not None
+        if prev is None:
+            raise RuntimeError("reach table lacks a predecessor on the path")
         path.append(prev)
         cur = prev
         mask = pmask

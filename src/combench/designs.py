@@ -1,7 +1,13 @@
 """Design-flavoured exact searches: Latin-square avoidance, cyclic orderings
 of disjoint bases, rooted-triple tournaments, magic-matrix counting with
 Ehrhart reciprocity, path-system realizability, and a tiny symmetric-group
-Ramsey checker."""
+Ramsey checker.
+
+The avoidance scan answers most arrays without a search: witness squares
+found earlier are kept as bitmasks, and one AND per witness shows whether it
+avoids the next array.  Random mode draws its arrays from one seeded stream
+in a fixed order of ``shuffle`` and ``randrange`` calls, so a seed's arrays,
+``checked`` count and verdict do not depend on the pool."""
 
 from __future__ import annotations
 
@@ -110,7 +116,7 @@ def _cell_orbit_reps(n: int, max_cells: int):
             if img == mask:
                 stab.append((pr, pc))
         if is_rep:
-            reps.append((mask, stab, apply))
+            reps.append((mask, stab))
     return reps
 
 
@@ -130,6 +136,57 @@ def _block_partitions(cells: list[int], max_block: int, max_blocks: int):
                 yield [[head, *partners]] + tail
 
 
+def _class_masks(n: int):
+    """Masks of the capped arrays up to row/column/symbol symmetry (n <= 4)."""
+    cap = n - 2
+    for mask, stab in _cell_orbit_reps(n, cap * n):
+        cells = list(bits(mask))
+        seen_parts = set()
+        for part in _block_partitions(cells, cap, n):
+            key = _canon_partition(part, stab, n)
+            if key in seen_parts:
+                continue
+            seen_parts.add(key)
+            yield sum(1 << (cell * n + s - 1)
+                      for s, block in enumerate(part, start=1) for cell in block)
+
+
+def _random_masks(n: int, budget: int, seed: int):
+    """Masks of ``budget`` capped arrays from one seeded stream: shuffle the
+    cells, then give each symbol in turn the next randrange(cap + 1) cells."""
+    rng = random.Random(seed)
+    cap = max(n - 2, 0)
+    for _ in range(budget):
+        free = list(range(n * n))
+        rng.shuffle(free)
+        pos = 0
+        mask = 0
+        for s in range(1, n + 1):
+            cnt = rng.randrange(cap + 1)
+            for _ in range(cnt):
+                if pos < len(free):
+                    mask |= 1 << (free[pos] * n + s - 1)
+                    pos += 1
+        yield mask
+
+
+def _mask_array(mask: int, n: int) -> AvoidArray:
+    entries = [[0] * n for _ in range(n)]
+    for b in bits(mask):
+        cell, s = divmod(b, n)
+        entries[cell // n][cell % n] = s + 1
+    return AvoidArray(entries)
+
+
+def _square_mask(square) -> int:
+    n = len(square)
+    return sum(1 << ((i * n + j) * n + s - 1)
+               for i, row in enumerate(square) for j, s in enumerate(row))
+
+
+WITNESS_POOL_CAP = 256
+
+
 def avoidance_scan(n: int, mode: str = "exhaustive", budget: int = 10 ** 5,
                    seed: int = 0):
     """Hunt for unavoidable arrays under the <= n-2 multiplicity cap.
@@ -137,50 +194,41 @@ def avoidance_scan(n: int, mode: str = "exhaustive", budget: int = 10 ** 5,
     exhaustive mode enumerates arrays up to row/column/symbol symmetry
     (n <= 4); random mode samples ``budget`` capped arrays.  Returns the
     first counterexample found, or None with scan statistics.
+
+    Arrays and squares are n^3-bit masks with bit (cell*n + symbol - 1), so
+    a square avoids an array exactly when their masks are disjoint.  Each
+    array is first tried against a pool of earlier witness squares; only
+    when none avoids it does ``avoid_latin`` backtrack, and its witness is
+    replayed by ``verify_avoidance`` before it joins the pool.
     """
     if mode == "exhaustive":
         if n > 4:
             raise TooLargeError("exhaustive symmetry scan; n <= 4")
-        cap = n - 2
-        checked = 0
-        for mask, stab, apply in _cell_orbit_reps(n, cap * n):
-            cells = list(bits(mask))
-            seen_parts = set()
-            for part in _block_partitions(cells, cap, n):
-                key = _canon_partition(part, stab, n)
-                if key in seen_parts:
-                    continue
-                seen_parts.add(key)
-                entries = [[0] * n for _ in range(n)]
-                for s, block in enumerate(part, start=1):
-                    for cell in block:
-                        i, j = divmod(cell, n)
-                        entries[i][j] = s
-                arr = AvoidArray(entries)
-                checked += 1
-                if avoid_latin(arr) is None:
-                    return {"counterexample": arr, "checked": checked}
-        return {"counterexample": None, "checked": checked}
-    if mode == "random":
-        rng = random.Random(seed)
-        cap = max(n - 2, 0)
-        for trial in range(budget):
-            entries = [[0] * n for _ in range(n)]
-            free = list(range(n * n))
-            rng.shuffle(free)
-            pos = 0
-            for s in range(1, n + 1):
-                cnt = rng.randrange(cap + 1)
-                for _ in range(cnt):
-                    if pos < len(free):
-                        i, j = divmod(free[pos], n)
-                        entries[i][j] = s
-                        pos += 1
-            arr = AvoidArray(entries)
-            if avoid_latin(arr) is None:
-                return {"counterexample": arr, "checked": trial + 1}
-        return {"counterexample": None, "checked": budget}
-    raise ValueError("mode must be exhaustive or random")
+        masks = _class_masks(n)
+    elif mode == "random":
+        if budget < 1:
+            raise ValueError(f"random mode needs budget >= 1, not {budget}")
+        masks = _random_masks(n, budget, seed)
+    else:
+        raise ValueError("mode must be exhaustive or random")
+    pool = []
+    checked = 0
+    for mask in masks:
+        checked += 1
+        for witness in pool:
+            if not witness & mask:
+                break
+        else:
+            arr = _mask_array(mask, n)
+            square = avoid_latin(arr)
+            if square is None:
+                return {"counterexample": arr, "checked": checked}
+            if not verify_avoidance(arr, square):
+                raise RuntimeError("avoid_latin returned a square that does "
+                                   "not avoid the array")
+            if len(pool) < WITNESS_POOL_CAP:
+                pool.append(_square_mask(square))
+    return {"counterexample": None, "checked": checked}
 
 
 def _canon_partition(part, stab, n: int) -> tuple:

@@ -104,14 +104,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
-    def check(self) -> None:
-        """Validate the symmetry / no-loop invariants (used in tests)."""
-        for v in range(self.n):
-            assert not self.adj[v] >> v & 1, f"loop at {v}"
-            assert self.adj[v] < 1 << self.n
-            for w in bits(self.adj[v]):
-                assert self.adj[w] >> v & 1, f"asymmetric pair {v},{w}"
-
 
 class Digraph:
     """Directed graph as per-vertex out- and in-neighbor bitsets (no self-loops).
@@ -388,7 +380,9 @@ def rotational_tournament(n: int, residues=None) -> Digraph:
     for i in range(n):
         for r in residues:
             d.add_arc(i, (i + r) % n)
-    assert d.is_tournament()
+    if not d.is_tournament():
+        raise RuntimeError(f"residues {sorted(residues)} do not give a tournament "
+                           f"on {n} vertices")
     return d
 
 

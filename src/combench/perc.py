@@ -6,6 +6,15 @@ The generic engine works on any Graph.  Square grids additionally get a
 packed-bitboard engine (the whole padded grid lives in one Python int and a
 round is a handful of shifted masks), which is what makes the n=128 sweeps
 affordable.
+
+Grid seeds replay ``rng.random() < p`` cell by cell without calling it.
+CPython's ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` for two
+consecutive 32-bit Mersenne Twister words a, b, and ``getrandbits(64 * k)``
+returns the same 2k words with the first one least significant.  So one
+``getrandbits`` call yields a 64-bit lane ``b << 32 | a`` per cell, and
+``random() < p`` holds exactly when the 53-bit integer from that lane is
+below ``ceil(p * 2**53)``; the comparison is exact because ``p * 2**53``
+is.  The rng is left in the state the scalar loop leaves it in.
 """
 
 from __future__ import annotations
@@ -74,6 +83,15 @@ def percolate_rounds_oracle(g: Graph, rule: PercRule, infected: int):
 # packed-grid engine
 
 
+def _lanes(value: int, count: int) -> int:
+    """``count`` copies of a 64-bit value, one per 64-bit lane."""
+    return int.from_bytes(value.to_bytes(8, "little") * count, "little")
+
+
+# byte value -> ASCII digit of its bit 5 (bit 53 of the lane holding it)
+_BIT53_DIGIT = bytes(48 + (v >> 5 & 1) for v in range(256))
+
+
 class GridFamily:
     """n x n square grid with the padded-bitboard fast path."""
 
@@ -85,6 +103,11 @@ class GridFamily:
             for c in range(n):
                 interior |= 1 << ((r + 1) * self.w + (c + 1))
         self.mask = interior
+        cells = n * n
+        self._lane_hi = _lanes(((1 << 27) - 1) << 26, cells)
+        self._lane_lo = _lanes((1 << 26) - 1, cells)
+        self._lane_p = None
+        self._lane_c = 0
 
     def graph(self) -> Graph:
         from .graphs import grid_graph
@@ -92,14 +115,29 @@ class GridFamily:
         return grid_graph(self.n, self.n)
 
     def seed_mask(self, rng: random.Random, p: float) -> int:
-        m = 0
-        w = self.w
-        for r in range(self.n):
-            base = (r + 1) * w + 1
-            for c in range(self.n):
-                if rng.random() < p:
-                    m |= 1 << (base + c)
-        return m
+        """Padded bitboard of the cells with ``rng.random() < p``, drawn in
+        row-major order from one ``getrandbits`` call (module docstring)."""
+        if not 0 <= p <= 1:
+            raise ValueError(f"need p in [0,1], not {p}")
+        cells = self.n * self.n
+        if p != self._lane_p:
+            # T = ceil(p * 2^53) <= 2^53, so 2^53 - 1 + T < 2^54 fits a lane
+            self._lane_c = _lanes((1 << 53) - 1 + math.ceil(p * 2.0 ** 53),
+                                  cells)
+            self._lane_p = p
+        draws = rng.getrandbits(64 * cells)
+        # lane = b<<32 | a; x = (a>>5)<<26 | b>>6 is random() scaled by 2^53
+        x = draws << 21 & self._lane_hi | draws >> 38 & self._lane_lo
+        # bit 53 of lane_c - x is set exactly when x < T.  Big-endian, it
+        # lies in byte 1 of each lane and the last cell comes first: the
+        # order in which int(..., 2) reads the bitboard's digits
+        flags = (self._lane_c - x).to_bytes(8 * cells, "big")[1::8]
+        digits = flags.translate(_BIT53_DIGIT)
+        n = self.n
+        # rows meet over two guard columns; the last guard column and the
+        # guard row fill the w + 1 least significant bits
+        return int(b"00".join([digits[i:i + n] for i in range(0, cells, n)])
+                   + b"0" * (self.w + 1), 2)
 
     def _closure2(self, cur: int) -> int:
         """Packed closure under the 2-neighbour rule."""
@@ -203,6 +241,10 @@ def estimate_full_infection(g: Graph, p: float, rule: PercRule,
 
 def estimate_grid_full_infection(n: int, p: float, trials: int, seed: int,
                                  threshold: int = 2) -> dict:
+    """Monte Carlo estimate of P_p(the n x n grid fills) under the
+    r=threshold rule, one ``trial_rng`` stream per trial."""
+    if not 0 <= p <= 1 or trials < 1:
+        raise ValueError("need p in [0,1] and trials >= 1")
     fam = GridFamily(n)
     hits = 0
     for t in range(trials):

@@ -1,6 +1,7 @@
-"""Independent oracles for canonical forms: plain backtracking and
-permutation enumeration, no refinement machinery."""
+"""Independent oracles for the tests: plain backtracking, permutation
+enumeration and scalar loops that the shipped fast paths must agree with."""
 
+import random
 from itertools import permutations
 
 from combench.graphs import Digraph, Graph, bits
@@ -67,3 +68,44 @@ def min_perm_certificate(g: Graph) -> bytes:
         if best is None or code < best:
             best = code
     return best
+
+
+def check_graph(g: Graph) -> None:
+    """Validate the symmetry / no-loop invariants of a Graph."""
+    for v in range(g.n):
+        assert not g.adj[v] >> v & 1, f"loop at {v}"
+        assert g.adj[v] < 1 << g.n
+        for w in bits(g.adj[v]):
+            assert g.adj[w] >> v & 1, f"asymmetric pair {v},{w}"
+
+
+def seed_mask_scalar(fam, rng: random.Random, p: float) -> int:
+    """GridFamily.seed_mask as one ``rng.random() < p`` per cell, row-major."""
+    m = 0
+    w = fam.w
+    for r in range(fam.n):
+        base = (r + 1) * w + 1
+        for c in range(fam.n):
+            if rng.random() < p:
+                m |= 1 << (base + c)
+    return m
+
+
+def random_avoid_entries(n: int, budget: int, seed: int):
+    """The arrays of avoidance_scan's random mode as n x n entry lists,
+    sampled by the scan's loop over plain lists."""
+    rng = random.Random(seed)
+    cap = max(n - 2, 0)
+    for _ in range(budget):
+        entries = [[0] * n for _ in range(n)]
+        free = list(range(n * n))
+        rng.shuffle(free)
+        pos = 0
+        for s in range(1, n + 1):
+            cnt = rng.randrange(cap + 1)
+            for _ in range(cnt):
+                if pos < len(free):
+                    i, j = divmod(free[pos], n)
+                    entries[i][j] = s
+                    pos += 1
+        yield entries

@@ -63,6 +63,11 @@ def test_cli_exit_codes(capsys):
                  ["des", "magic", "--n", "5"],
                  ["perc", "--sizes", "48"],
                  ["perc", "--sizes", "32,"],
+                 ["perc", "--sizes", "32", "--trials", "0"],
+                 ["run", "--id", "sec7.verstraete.percolation",
+                  "--params", '{"sizes": "32", "trials": 0}'],
+                 ["run", "--id", "sec10.markstrom.latin",
+                  "--params", '{"n": 5, "mode": "random", "budget": -3}'],
                  ["fam", "katona", "--n", "-1"]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -17,6 +17,7 @@ from combench.structure import (EmptyGraphError, biclique_number,
                                 independence_number, mad, max_independent_set,
                                 structure_report)
 from conftest import random_graph
+from oracles import check_graph
 
 
 def test_structure_report_trivial():
@@ -170,7 +171,7 @@ def test_json_roundtrips():
 
 def test_invariants_and_validation():
     g = cycle_graph(6)
-    g.check()
+    check_graph(g)
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):

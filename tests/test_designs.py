@@ -1,9 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from combench import designs
 from combench.designs import (AvoidArray, NotBasesError, ThreeTournament,
                               avoid_latin, avoidance_scan, count_magic,
                               cyclic_base_ordering, dom_3tournament, dom_scan,
@@ -12,6 +17,7 @@ from combench.designs import (AvoidArray, NotBasesError, ThreeTournament,
                               positive_fraction, realize_path_system,
                               sym_ramsey_check, verify_avoidance,
                               verify_cyclic_ordering)
+from oracles import random_avoid_entries
 
 
 def test_avoid_latin_basics():
@@ -38,16 +44,69 @@ def test_avoid_latin_unavoidable_without_cap():
 
 
 def test_avoidance_scan_exhaustive_n3():
-    res = avoidance_scan(3, "exhaustive")
-    assert res["counterexample"] is None
-    assert res["checked"] > 0
+    # classes checked, as the scan before its witness pool counted them
+    for n, checked in ((2, 1), (3, 11), (4, 6572)):
+        res = avoidance_scan(n, "exhaustive")
+        assert res["counterexample"] is None
+        assert res["checked"] == checked
 
 
-def test_avoidance_scan_random_n5():
+def test_avoidance_scan_random_n5(monkeypatch):
+    for seed in range(5):
+        res = avoidance_scan(5, "random", budget=3000, seed=seed)
+        assert res == {"counterexample": None, "checked": 3000}
+    with pytest.raises(ValueError):
+        avoidance_scan(5, "random", budget=0)
+
+    # the scan sees the arrays of the plain sampling loop, in order, and
+    # backtracks on exactly those that no earlier witness avoids; the
+    # ones its pool answers are avoidable by avoid_latin too
+    backtracked, witnesses = [], []
+
+    def recording(arr):
+        square = avoid_latin(arr)
+        backtracked.append(arr.entries)
+        witnesses.append(square)
+        return square
+
+    monkeypatch.setattr(designs, "avoid_latin", recording)
+    arrays = list(random_avoid_entries(5, 3000, 11))
     res = avoidance_scan(5, "random", budget=3000, seed=11)
-    assert res["counterexample"] is None
-    res2 = avoidance_scan(5, "random", budget=3000, seed=11)
-    assert res2["checked"] == res["checked"]
+    assert res == {"counterexample": None, "checked": 3000}
+    assert 0 < len(backtracked) < designs.WITNESS_POOL_CAP
+    pos = 0
+    for entries in arrays:
+        arr = AvoidArray(entries)
+        answered = any(verify_avoidance(arr, sq) for sq in witnesses[:pos])
+        if pos < len(backtracked) and backtracked[pos] == entries:
+            assert not answered
+            pos += 1
+        else:
+            assert answered and avoid_latin(arr) is not None
+    assert pos == len(backtracked)
+
+    monkeypatch.setattr(designs, "avoid_latin", lambda arr: None)
+    res = avoidance_scan(5, "random", budget=3000, seed=11)
+    assert res["checked"] == 1 and res["counterexample"].entries == arrays[0]
+
+
+def test_witness_replay_check_survives_optimize():
+    """Under python -O a witness square that fails its replay is still
+    rejected."""
+    script = """if True:
+        import sys
+        from combench import designs
+        if not sys.flags.optimize:
+            sys.exit("expected python -O")
+        designs.verify_avoidance = lambda arr, square: False
+        designs.avoidance_scan(3, "random", budget=5)
+    """
+    src = str(Path(designs.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "does not avoid the array" in proc.stderr
 
 
 def test_cyclic_base_ordering_trees():

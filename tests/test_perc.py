@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from combench.perc import (DEFAULT_GRIDS, GridFamily, MAJORITY,
                            estimate_grid_full_infection, parse_sizes, percolate,
                            percolate_rounds_oracle, threshold_rule,
                            threshold_sweep, trial_rng, wilson_interval)
+from oracles import seed_mask_scalar
 
 
 def test_percolate_examples():
@@ -49,6 +51,48 @@ def test_bitboard_matches_generic(rng):
         assert fam.closure_equals_graph_engine(sorted(cells), 2)
 
 
+def test_seed_mask_matches_scalar_oracle():
+    ps = [0.0, 2.0 ** -53, 0.035, 0.07, 0.5, 1 - 2.0 ** -53, 1.0]
+    ps += sorted({p for grid in DEFAULT_GRIDS.values() for p in grid})
+    for n in (1, 2, 7, 64, 128):
+        fam = GridFamily(n)
+        for i, p in enumerate(ps):
+            fast, slow = trial_rng(n, i), trial_rng(n, i)
+            assert fam.seed_mask(fast, p) == seed_mask_scalar(fam, slow, p), (n, p)
+            assert fast.random() == slow.random(), (n, p)
+    with pytest.raises(ValueError):
+        GridFamily(4).seed_mask(random.Random(0), 1.5)
+
+
+class _ScriptedWords(random.Random):
+    """random() and getrandbits() over a fixed list of 32-bit words, with
+    CPython's word order, to put draws exactly at the threshold."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = list(words)
+
+    def random(self):
+        a, b = self.words.pop(0) >> 5, self.words.pop(0) >> 6
+        return (a * 2 ** 26 + b) / 2 ** 53
+
+    def getrandbits(self, k):
+        used, self.words = self.words[:k // 32], self.words[k // 32:]
+        return sum(w << 32 * i for i, w in enumerate(used))
+
+
+def test_seed_mask_exact_at_threshold():
+    fam = GridFamily(2)
+    for p in (2.0 ** -53, 0.035, 0.5, 1 - 2.0 ** -53):
+        t = math.ceil(p * 2 ** 53)
+        draws = []
+        for x in (t - 1, t, 0, 2 ** 53 - 1):  # one 53-bit draw per cell
+            draws += [(x >> 26) << 5 | 31, (x & (2 ** 26 - 1)) << 6 | 63]
+        expect = seed_mask_scalar(fam, _ScriptedWords(draws), p)
+        assert fam.seed_mask(_ScriptedWords(draws), p) == expect
+        assert expect == 1 << fam.w + 1 | 1 << 2 * fam.w + 1  # cells 0 and 2
+
+
 def test_estimates_trivial():
     assert estimate_grid_full_infection(8, 0.9999999, 10, 1)["estimate"] == 1.0
     rec = estimate_full_infection(complete_graph(5), 0.0, MAJORITY, 10, 1)
@@ -59,6 +103,13 @@ def test_estimates_reproducible():
     a = estimate_grid_full_infection(16, 0.08, 50, seed=42)
     b = estimate_grid_full_infection(16, 0.08, 50, seed=42)
     assert a == b
+    for p, trials in ((0.08, 0), (-0.1, 10), (1.5, 10)):
+        with pytest.raises(ValueError):
+            estimate_grid_full_infection(16, p, trials, seed=42)
+    # full-infection counts of the scalar seeding, which the seeds replay
+    sweeps = threshold_sweep([32, 64], DEFAULT_GRIDS, trials=50, seed=20140305)
+    assert [[round(e * s.trials) for e in s.estimates] for s in sweeps] == [
+        [0, 7, 19, 32, 41, 49], [0, 4, 23, 39, 49, 50]]
     r1 = trial_rng(5, 3).random()
     r2 = trial_rng(5, 3).random()
     assert r1 == r2
