@@ -8,6 +8,11 @@ whose (path invariant, adjacency string) is lexicographically greatest.
   the first largest one becomes a splitter.  Below the root only the
   individualized vertex is a splitter, since its parent partition was
   already equitable.
+* A split replaces a cell in place by its parts in ascending key order,
+  and never moves other cells.  An uncoloured graph first splits by degree,
+  so every leaf orders the vertices by ascending degree, and the
+  canonical-last vertex has maximum degree; ``generate`` relies on this to
+  skip children whose new vertex does not.
 * Each refinement records a trace, one entry (cell index, sorted split
   keys, part sizes) per split.  A node's path invariant is the sequence of
   traces from the root, so comparing nodes costs nothing beyond the

@@ -4,7 +4,11 @@ Three engines:
 
 * general graphs: canonical augmentation by vertex (parent = child minus the
   vertex in the canonical-last orbit), optionally constrained by hereditary
-  predicates (max degree, max edges, bipartite);
+  predicates (max degree, max edges, bipartite).  The canonical-last vertex
+  has maximum degree (see canon), so only neighbour masks that give the new
+  vertex maximum degree are tried (the filter of McKay's geng).  Each
+  unconstrained level certifies its completeness: sum(k!/|Aut(G)|) over its
+  classes must equal 2^C(k,2), else RuntimeError;
 * cubic graphs: levelwise edge insertion (subdivide two distinct edges, join
   the new vertices).  Each parent inserts one unordered edge pair per orbit
   of its automorphism group (the first pair of the orbit in edge-pair
@@ -18,7 +22,7 @@ Three engines:
   labeled_cubic_count(n), else RuntimeError;
 * tournaments: vertex augmentation with certificate dedupe per level.
 
-Completeness of each engine is cross-checked in the tests against exact
+Completeness of each engine is also cross-checked in the tests against exact
 labeled counts through the identity sum(n!/|Aut(G)|) = #labeled graphs.
 """
 
@@ -27,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from . import flows
 from .canon import canonical_form, canonical_form_digraph
@@ -89,13 +93,25 @@ def graphs_upto(n: int, max_degree: int | None = None,
     complete level of some order m < n under the same constraints; the
     levels m+1..n are built from it, and only those are returned.
     """
+    certify = (max_degree is None and max_edges is None and not bipartite_only
+               and final_regular is None)
     level = [Graph(1)] if base is None else list(base)
     levels: dict[int, list[Graph]] = {1: level} if base is None else {}
     for k in range(level[0].n + 1, n + 1):
         out = []
+        labeled = 0
         for parent in level:
             pcf = canonical_form(parent)
-            for mask in _orbit_reps(range(1 << (k - 1)), pcf.generators):
+            # The canonical-last vertex has maximum degree (see canon), so the
+            # new vertex must reach the parent's top degree and exceed it if
+            # it touches a top-degree vertex.  The condition is invariant
+            # under Aut(parent), so the kept masks stay closed under it.
+            top = max(row.bit_count() for row in parent.adj)
+            hi = sum(1 << v for v, row in enumerate(parent.adj)
+                     if row.bit_count() == top)
+            masks = [m for m in range(1 << (k - 1))
+                     if m.bit_count() > top or (m.bit_count() == top and not m & hi)]
+            for mask in _orbit_reps(masks, pcf.generators):
                 if max_degree is not None:
                     if mask.bit_count() > max_degree:
                         continue
@@ -119,6 +135,11 @@ def graphs_upto(n: int, max_degree: int | None = None,
                 canon_last = ccf.labeling.index(k - 1)
                 if ccf.orbits[new_v] == ccf.orbits[canon_last]:
                     out.append((ccf.bytes, child))
+                    labeled += factorial(k) // ccf.aut_order
+        if certify and labeled != 1 << comb(k, 2):
+            raise RuntimeError(f"graphs on {k} vertices fail the completeness "
+                               f"certificate: {labeled} labelled graphs, "
+                               f"expected {1 << comb(k, 2)}")
         out.sort(key=lambda t: t[0])
         level = levels[k] = [g for _, g in out]
     return levels
@@ -148,61 +169,6 @@ def all_graphs_cached(n: int) -> tuple[Graph, ...]:
     if n <= 1:
         return tuple(all_graphs(n))
     return tuple(graphs_upto(n, base=all_graphs_cached(n - 1))[n])
-
-
-def polya_graph_count(n: int) -> int:
-    """Number of graphs on n unlabeled vertices via the cycle index of the
-    pair group (independent completeness oracle for the generator)."""
-    total = 0
-    for part in _partitions(n):
-        total += _perm_class_size(n, part) * (1 << _pair_cycles(part))
-    return total // _factorial(n)
-
-
-def _pair_cycles(part) -> int:
-    """Cycles of the induced action on unordered vertex pairs: floor(a/2)
-    for pairs inside one a-cycle, gcd(a, b) for pairs across two cycles."""
-    c = 0
-    for i, a in enumerate(part):
-        c += a // 2
-        for b in part[i + 1:]:
-            c += _gcd(a, b)
-    return c
-
-
-def _partitions(n: int):
-    def rec(rest, mx):
-        if rest == 0:
-            yield []
-            return
-        for p in range(min(rest, mx), 0, -1):
-            for tail in rec(rest - p, p):
-                yield [p] + tail
-    return rec(n, n)
-
-
-def _perm_class_size(n: int, part) -> int:
-    size = _factorial(n)
-    counts: dict[int, int] = {}
-    for p in part:
-        counts[p] = counts.get(p, 0) + 1
-        size //= p
-    for c in counts.values():
-        size //= _factorial(c)
-    return size
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +311,7 @@ def cubic_graphs_all(n: int) -> tuple[Graph, ...]:
             keep(_insert_edge_pair(parent, e1, e2))
     for g in _irreducible_unions(n):
         keep(g)
-    labeled = sum(_factorial(n) // aut for _, aut in found.values())
+    labeled = sum(factorial(n) // aut for _, aut in found.values())
     if labeled != labeled_cubic_count(n):
         raise RuntimeError(f"cubic graphs on {n} vertices fail the completeness "
                            f"certificate: {labeled} labelled graphs, expected "
@@ -510,6 +476,10 @@ def generate(spec: GenSpec):
     """Yield one representative per isomorphism class, deterministic order."""
     if spec.n < 1:
         raise Unsatisfiable("n must be positive")
+    if any(b is not None and b < 0 for b in (spec.min_degree, spec.max_degree,
+                                             spec.regular, spec.max_edges,
+                                             spec.connectivity)):
+        raise Unsatisfiable("degree, edge and connectivity bounds must be >= 0")
     if spec.class_tag in ("tournament", "regular-tournament"):
         if spec.n > TOURNAMENT_DEFAULT_CAP:
             raise Unsatisfiable(f"tournament generation capped at n={TOURNAMENT_DEFAULT_CAP}")

@@ -73,12 +73,17 @@ def decompose_arc_disjoint_strong(d: Digraph, k: int) -> StrongDecomposition | N
     """Partition the arcs into k spanning strong classes, or None after an
     exhaustive search.
 
-    Arcs are assigned in order, so the unassigned arcs after arc i are
-    always the suffix i+1..m-1, whose out- and in-rows are precomputed.
-    Each class keeps its out-rows, in-rows and arc count.  Pruning: a class
-    together with the unassigned suffix must already be strongly connected,
-    otherwise no completion can fix it.
+    Arcs are assigned in order, class by class.  ``hull[c]`` holds the
+    out-rows of class c plus every unassigned arc, and every hull is kept
+    strong: at the root each is the whole digraph (strong, as lambda >= k),
+    and giving (u, v) to class c removes it from every other hull, which
+    stays strong exactly when u still reaches v in it.  The check is exact,
+    so it prunes only subtrees that hold no decomposition, and every leaf
+    (where each hull is its class) is one.  A further bound: each class
+    needs n arcs to be spanning and strong.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     n = d.n
     arcs = list(d.arcs())
     m = len(arcs)
@@ -88,49 +93,33 @@ def decompose_arc_disjoint_strong(d: Digraph, k: int) -> StrongDecomposition | N
         return None  # every cut must be crossed by each class
 
     full = (1 << n) - 1
-    # suffix_out[i] / suffix_in[i]: the rows of the unassigned arcs i..m-1
-    suffix_out = [[0] * n] * (m + 1)
-    suffix_in = [[0] * n] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        u, v = arcs[i]
-        suffix_out[i] = list(suffix_out[i + 1])
-        suffix_out[i][u] |= 1 << v
-        suffix_in[i] = list(suffix_in[i + 1])
-        suffix_in[i][v] |= 1 << u
-
-    class_out = [[0] * n for _ in range(k)]
-    class_in = [[0] * n for _ in range(k)]
+    hull = [list(d.out) for _ in range(k)]
     class_arcs = [0] * k
-
-    def strong(out, inn) -> bool:
-        return (reachable_set(out, 0, full) == full
-                and reachable_set(inn, 0, full) == full)
-
-    def potential_strong(c: int, next_arc: int) -> bool:
-        return strong([a | b for a, b in zip(class_out[c], suffix_out[next_arc])],
-                      [a | b for a, b in zip(class_in[c], suffix_in[next_arc])])
 
     def rec(i: int, used: int) -> bool:
         if i == m:
-            return all(strong(class_out[c], class_in[c]) for c in range(k))
+            return True
         u, v = arcs[i]
         deficit = sum(max(0, n - count) for count in class_arcs)
         if deficit > m - i:
             return False
+        bit = 1 << v
         for c in range(min(used + 1, k)):
-            class_out[c][u] |= 1 << v
-            class_in[c][v] |= 1 << u
-            class_arcs[c] += 1
-            if potential_strong(c, i + 1) and rec(i + 1, max(used, c + 1)):
-                return True
-            class_out[c][u] &= ~(1 << v)
-            class_in[c][v] &= ~(1 << u)
-            class_arcs[c] -= 1
+            others = [hull[o] for o in range(k) if o != c]
+            for rows in others:
+                rows[u] &= ~bit
+            if all(reachable_set(rows, u, full) >> v & 1 for rows in others):
+                class_arcs[c] += 1
+                if rec(i + 1, max(used, c + 1)):
+                    return True
+                class_arcs[c] -= 1
+            for rows in others:
+                rows[u] |= bit
         return False
 
     if rec(0, 0):
         return StrongDecomposition(k, [[(u, v) for u, v in arcs if out[u] >> v & 1]
-                                       for out in class_out])
+                                       for out in hull])
     return None
 
 
@@ -231,6 +220,8 @@ def disjoint_cycles(d: Digraph, k: int) -> list[tuple] | None:
 
     Digons count as cycles when present; otherwise cycles have >= 3 vertices.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     has_digon = any(d.out[u] >> v & 1 and d.out[v] >> u & 1
                     for u, v in d.arcs() if u < v)
     min_len = 2 if has_digon else 3

@@ -3,6 +3,7 @@ enumeration and scalar loops that the shipped fast paths must agree with."""
 
 import random
 from itertools import permutations
+from math import factorial, gcd
 
 from combench.graphs import Digraph, Graph, bits
 
@@ -109,3 +110,45 @@ def random_avoid_entries(n: int, budget: int, seed: int):
                     entries[i][j] = s
                     pos += 1
         yield entries
+
+
+def polya_graph_count(n: int) -> int:
+    """Number of graphs on n unlabeled vertices via the cycle index of the
+    pair group."""
+    total = 0
+    for part in _partitions(n):
+        total += _perm_class_size(n, part) * (1 << _pair_cycles(part))
+    return total // factorial(n)
+
+
+def _pair_cycles(part) -> int:
+    """Cycles of the induced action on unordered vertex pairs: floor(a/2)
+    for pairs inside one a-cycle, gcd(a, b) for pairs across two cycles."""
+    c = 0
+    for i, a in enumerate(part):
+        c += a // 2
+        for b in part[i + 1:]:
+            c += gcd(a, b)
+    return c
+
+
+def _partitions(n: int):
+    def rec(rest, mx):
+        if rest == 0:
+            yield []
+            return
+        for p in range(min(rest, mx), 0, -1):
+            for tail in rec(rest - p, p):
+                yield [p] + tail
+    return rec(n, n)
+
+
+def _perm_class_size(n: int, part) -> int:
+    size = factorial(n)
+    counts: dict[int, int] = {}
+    for p in part:
+        counts[p] = counts.get(p, 0) + 1
+        size //= p
+    for c in counts.values():
+        size //= factorial(c)
+    return size

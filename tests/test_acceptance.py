@@ -6,6 +6,7 @@ module-cached, so the order below also warms the caches for the cheaper
 criteria and for the unit-test modules that run afterwards.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -86,13 +87,19 @@ def test_ac05_bang_jensen_yeo_k2():
     from combench.tournaments import decompose_arc_disjoint_strong, lambda_arc
 
     checked = 0
+    classes8 = []
     for n in range(3, 9):
         for t in tournaments(n):
             if lambda_arc(t) >= 2:
                 checked += 1
                 dec = decompose_arc_disjoint_strong(t, 2)
                 assert dec is not None and dec.verify(t), n
+                if n == 8:
+                    classes8.append(repr(dec.arc_classes))
     assert checked > 0
+    # the first decomposition the search finds, pinned for n = 8
+    assert hashlib.sha256("\n".join(classes8).encode()).hexdigest() == \
+        "6664b80e3e726ab4431429e7e65b59ac319ded5cf1996c6c027f919b2a6d6522"
     _report("AC05 two arc-disjoint strong parts",
             f"{checked} two-arc-strong tournaments n<=8, zero failures")
 

@@ -86,6 +86,29 @@ def test_regular_graphs_canonical(rng):
     assert splits == {True, False}
 
 
+def _canonical_last_has_max_degree(g) -> bool:
+    last = canonical_form(g).labeling.index(g.n - 1)
+    return g.adj[last].bit_count() == max(row.bit_count() for row in g.adj)
+
+
+def test_canonical_last_vertex_has_max_degree(rng):
+    """Degree sorts the root cells in ascending order and later splits
+    keep that order, so the canonical-last vertex has maximum degree;
+    graph generation filters its children on this.  The graphs are
+    enumerated by edge set here, not taken from the generator."""
+    checked = 0
+    for n in range(1, 6):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for edges in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if edges >> i & 1])
+            assert _canonical_last_has_max_degree(g), (n, edges)
+            checked += 1
+    assert checked == 1099
+    for _ in range(200):
+        g = random_graph(rng, rng.randrange(6, 10), rng.choice([0.2, 0.5, 0.8]))
+        assert _canonical_last_has_max_degree(g)
+
+
 def test_non_isomorphic_distinguished():
     # same degree sequence, different graphs
     g1 = disjoint_union(cycle_graph(3), cycle_graph(3))

@@ -68,7 +68,12 @@ def test_cli_exit_codes(capsys):
                   "--params", '{"sizes": "32", "trials": 0}'],
                  ["run", "--id", "sec10.markstrom.latin",
                   "--params", '{"n": 5, "mode": "random", "budget": -3}'],
-                 ["fam", "katona", "--n", "-1"]):
+                 ["fam", "katona", "--n", "-1"],
+                 ["tour", "decompose", "&BP_", "--k", "-1"],
+                 ["tour", "decompose", "&BP_", "--k", "0"],
+                 ["tour", "cycles", "&BP_", "--k", "-2"],
+                 ["gen", "--spec", '{"n": 3, "max_degree": -1}'],
+                 ["gen", "--spec", '{"n": 4, "max_edges": -1}']):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv

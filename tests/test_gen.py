@@ -1,5 +1,8 @@
 from math import factorial
 
+import hashlib
+import inspect
+
 import pytest
 
 from combench.canon import canonical_form, canonical_form_digraph, certificate
@@ -8,11 +11,12 @@ from combench.generate import (GenSpec, Unsatisfiable, all_graphs,
                                cubic_graphs_all, cyclically_4_edge_connected,
                                generate, graphs_upto, labeled_cubic_count,
                                labeled_regular_tournament_count,
-                               max_aut_3connected_cubic, polya_graph_count,
-                               regular_tournaments, tournaments)
+                               max_aut_3connected_cubic, regular_tournaments,
+                               tournaments)
 from combench.graphs import (complete_graph, is_bipartite, is_connected,
                              moebius_kantor_graph, petersen_graph,
                              prism_graph, to_graph6)
+from oracles import polya_graph_count
 
 KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -32,15 +36,47 @@ def test_graph_generation_labeled_identity():
         assert total == 2 ** (n * (n - 1) // 2)
 
 
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_generated_graphs_distinct_and_ordered():
     gs = all_graphs(6)
     certs = [certificate(g) for g in gs]
     assert certs == sorted(certs)
     assert len(set(certs)) == len(certs)
     # the cached levels, each built from the one below, match one full build
-    cached = [[to_graph6(g) for g in all_graphs_cached(n)] for n in range(2, 8)]
-    full = graphs_upto(7)
-    assert cached == [[to_graph6(g) for g in full[n]] for n in range(2, 8)]
+    cached = [[to_graph6(g) for g in all_graphs_cached(n)] for n in range(2, 9)]
+    full = graphs_upto(8)
+    assert cached == [[to_graph6(g) for g in full[n]] for n in range(2, 9)]
+    # pinned representatives and their order
+    assert _digest(" ".join(to_graph6(g) for g in full[n]) for n in sorted(full)) \
+        == "18710cdd62254c06b5f5e097e54c74137ec5040748158b81cc945fb77ef15595"
+    pinned = {("max_degree", 3): ("88d06a36e5c987fdf7d2292a6733f213"
+                                  "a809918acc4ccb52e81479610e64dfc5"),
+              ("max_edges", 9): ("8b4af211ad09670908742ec37c0801f7"
+                                 "aea8e0da0a74e1f682be0cba0422b615"),
+              ("bipartite", True): ("d7b33e7478f98da9f1455dd96842975a"
+                                    "c03a0118da048cff39396fff4bf07af7")}
+    for (key, value), digest in pinned.items():
+        spec = GenSpec(7, **{key: value})
+        assert _digest(to_graph6(g) for g in generate(spec)) == digest
+
+
+def test_graph_certificate_catches_a_broken_canonical_order(monkeypatch):
+    """Split keys sorted in descending order put a minimum-degree vertex
+    last, so the degree filter drops children that would be accepted, and
+    the level certificate must fail."""
+    from combench import canon
+
+    source = inspect.getsource(canon._refine)
+    assert source.count("keys = sorted(groups)") == 1
+    namespace = dict(vars(canon))
+    exec(source.replace("keys = sorted(groups)",
+                        "keys = sorted(groups, reverse=True)"), namespace)
+    monkeypatch.setattr(canon, "_refine", namespace["_refine"])
+    with pytest.raises(RuntimeError, match="completeness certificate"):
+        graphs_upto(5)
 
 
 def test_cubic_counts():

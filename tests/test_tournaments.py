@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -39,20 +40,30 @@ def test_decompose_trivial_and_obstructed():
     assert dec is not None and dec.verify(qr)
 
 
+def _classes_digest(decs) -> str:
+    return hashlib.sha256("\n".join(repr(dec.arc_classes) for dec in decs)
+                          .encode()).hexdigest()
+
+
 def test_decompose_all_two_arc_strong_n6():
-    checked = 0
-    for t in tournaments(6):
-        if lambda_arc(t) >= 2:
-            checked += 1
-            dec = decompose_arc_disjoint_strong(t, 2)
-            assert dec is not None and dec.verify(t)
-    assert checked > 0
+    decs = []
+    for n in range(3, 8):
+        for t in tournaments(n):
+            if lambda_arc(t) >= 2:
+                dec = decompose_arc_disjoint_strong(t, 2)
+                assert dec is not None and dec.verify(t)
+                decs.append(dec)
+    assert len(decs) == 93
+    assert _classes_digest(decs) == \
+        "2078f2d3fe8756fd7f20ff9ea664de98f852244fd898603e9329e49f8271bd34"
     # three classes to full depth: the 3-arc-strong tournaments on 7 vertices
     three = [t for t in tournaments(7) if lambda_arc(t) >= 3]
     assert len(three) == 3
-    for t in three:
-        dec = decompose_arc_disjoint_strong(t, 3)
+    decs = [decompose_arc_disjoint_strong(t, 3) for t in three]
+    for t, dec in zip(three, decs):
         assert dec is not None and len(dec.arc_classes) == 3 and dec.verify(t)
+    assert _classes_digest(decs) == \
+        "9aea36150df64e211efd6e8b15be3c2fa009abaf77d7615b13ecf29b3b7573ae"
 
 
 def test_strong_decomposition_verify_rejects_bad():
