@@ -1,8 +1,8 @@
 """Command-line front end: problem registry access, per-module verbs, and
 golden-table reproduction.
 
-Exit codes: 0 ok, 2 bad parameters or input (any ValueError), 3 unknown
-problem, 4 golden mismatch.
+Exit codes: 0 ok, 2 bad parameters or input (any ValueError, or an OSError
+reading an input file), 3 unknown problem, 4 golden mismatch.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
-    from .cycles import (count_cycles_of_length, ham_cycle_edge_counts,
-                         hamilton_cycles, lollipop_walk)
+    from .cycles import (count_cycles_of_length, lollipop_max_steps,
+                         smith_parity_check)
     from .generate import connected_cubic_graphs, cyclically_4_edge_connected
     from .graphs import to_graph6
 
@@ -173,18 +173,15 @@ def _cmd_cycles(args) -> int:
             print(f"{n},{to_graph6(g)},{count}")
     elif args.verb == "smith":
         for g in connected_cubic_graphs(n):
-            odd = sum(1 for c in ham_cycle_edge_counts(g).values() if c % 2)
+            odd = len(smith_parity_check(g)["odd_edges"])
             print(f"{n},{to_graph6(g)},{odd}")
     elif args.verb == "lollipop":
         for g in connected_cubic_graphs(n):
             if args.profile and not cyclically_4_edge_connected(g):
                 continue
-            ham = next(iter(hamilton_cycles(g)), None)
-            if ham is None:
-                continue
-            steps = max(lollipop_walk(g, ham, (ham[i], ham[(i + 1) % n])).steps
-                        for i in range(n))
-            print(f"{n},{to_graph6(g)},{steps}")
+            steps = lollipop_max_steps(g)
+            if steps is not None:
+                print(f"{n},{to_graph6(g)},{steps}")
     return 0
 
 
@@ -452,8 +449,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
-        # domain errors and json.JSONDecodeError all subclass ValueError
+    except (ValueError, OSError) as exc:
+        # domain errors and json.JSONDecodeError all subclass ValueError;
+        # OSError is an unreadable --file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,12 +41,6 @@ class Coloring:
             sizes[c] += 1
         return sizes
 
-    def classes(self) -> list[int]:
-        masks = [0] * self.k
-        for v, c in enumerate(self.assignment):
-            masks[c] |= 1 << v
-        return masks
-
 
 def is_proper(g: Graph, assignment) -> bool:
     return all(assignment[u] != assignment[v] for u, v in g.edges())
@@ -61,27 +55,14 @@ def is_equitable(coloring: Coloring) -> bool:
 # exact vertex colouring
 
 
-def k_colorable(g: Graph, k: int, fixed: dict | None = None):
+def k_colorable(g: Graph, k: int):
     """A proper k-colouring as a list, or None.  DSATUR-ordered backtracking
-    with new-colour symmetry breaking; ``fixed`` pins vertex colours."""
+    with new-colour symmetry breaking."""
     n = g.n
     if k <= 0:
         return None if n else []
     color = [-1] * n
-    if fixed:
-        for v, c in fixed.items():
-            if c >= k:
-                return None
-            color[v] = c
-        for u, v in g.edges():
-            if color[u] != -1 and color[u] == color[v]:
-                return None
     nbr_colors = [0] * n  # bitmask of colours on neighbors
-    for v in range(n):
-        if color[v] != -1:
-            for w in bits(g.adj[v]):
-                nbr_colors[w] |= 1 << color[v]
-    used = max((c for c in color if c != -1), default=-1) + 1
 
     def pick():
         best, key = -1, None
@@ -111,7 +92,7 @@ def k_colorable(g: Graph, k: int, fixed: dict | None = None):
             color[v] = -1
         return False
 
-    return list(color) if rec(used) else None
+    return list(color) if rec(0) else None
 
 
 def chromatic_number(g: Graph) -> int:
@@ -517,8 +498,9 @@ def mcr_scan(g: Graph, r: int, n_max: int, mad_cap=None):
     max_edges = None
     if mad_cap is not None:
         max_edges = int(Fraction(mad_cap) * n_max / 2)
+    levels = graphs_upto(n_max, max_edges=max_edges)
     for n in range(g.n, n_max + 1):
-        for f in graphs_upto(n, max_edges=max_edges)[n]:
+        for f in levels[n]:
             m = mad(f)
             if best is not None and m >= best:
                 continue

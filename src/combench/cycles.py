@@ -58,24 +58,29 @@ def count_cycles_of_length(g: Graph, length: int) -> int:
     return count
 
 
-def simple_cycles(g: Graph, min_len: int = 3):
-    """Yield every simple cycle once, as a vertex tuple starting at its
-    least vertex with the smaller neighbor second."""
-    adj = g.adj
+def cycles_through(adj, pivot: int, avail: int):
+    """Yield every simple cycle (>= 3 vertices) through ``pivot`` whose other
+    vertices lie in ``avail`` above ``pivot``, once, as a vertex tuple
+    starting at ``pivot`` with the smaller neighbor second."""
+    avail &= -2 << pivot
 
-    def extend(start, path, used):
-        v = path[-1]
-        for w in bits(adj[v] & ~used):
-            if w <= start:
-                continue
+    def extend(path, free):
+        for w in bits(adj[path[-1]] & free):
             path.append(w)
-            if len(path) >= min_len and adj[w] >> start & 1 and path[1] < w:
+            if len(path) >= 3 and adj[w] >> pivot & 1 and path[1] < w:
                 yield tuple(path)
-            yield from extend(start, path, used | 1 << w)
+            yield from extend(path, free & ~(1 << w))
             path.pop()
 
+    yield from extend([pivot], avail)
+
+
+def simple_cycles(g: Graph):
+    """Yield every simple cycle once, as a vertex tuple starting at its
+    least vertex with the smaller neighbor second."""
+    full = (1 << g.n) - 1
     for s in range(g.n):
-        yield from extend(s, [s], 1 << s)
+        yield from cycles_through(g.adj, s, full)
 
 
 def hamilton_cycles(g: Graph):
@@ -207,6 +212,17 @@ def lollipop_walk(g: Graph, ham: tuple, edge: tuple) -> LollipopTrace:
         path[j + 1:] = reversed(path[j + 1:])
 
 
+def lollipop_max_steps(g: Graph) -> int | None:
+    """Most rotations the lollipop walk takes from the first Hamilton cycle
+    of g, over every edge of that cycle; None when g has no Hamilton cycle."""
+    ham = next(iter(hamilton_cycles(g)), None)
+    if ham is None:
+        return None
+    n = len(ham)
+    return max(lollipop_walk(g, ham, (ham[i], ham[(i + 1) % n])).steps
+               for i in range(n))
+
+
 # ---------------------------------------------------------------------------
 # cycle space over GF(p) / Q
 
@@ -287,13 +303,6 @@ def cycle_space_dimension(g: Graph, p: int) -> int:
         if red.rank >= bound:
             break
     return red.rank
-
-
-def spanning_tree_dimension_oracle(g: Graph) -> int:
-    """|E| - |V| + 1 via an explicit spanning tree (GF(2) oracle)."""
-    if not is_connected(g):
-        raise DisconnectedError
-    return g.edge_count() - g.n + 1
 
 
 def shortest_cycle_through_edge(g: Graph, edge) -> tuple | None:

@@ -207,21 +207,10 @@ def width_details(g: Graph) -> dict:
     return width_of_complex(independence_complex(g))
 
 
-def brute_force_width(elements: list[int]) -> int:
-    """Max antichain by clique search on the incomparability graph (oracle)."""
-    g = Graph(len(elements))
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            a, b = elements[i], elements[j]
-            if a & b != a and a & b != b:
-                g.add_edge(i, j)
-    if g.edge_count() == 0:
-        return 1 if elements else 0
-    return max_clique(g).bit_count()
-
-
 def random_graph_width(n: int, c: float, trials: int, seed: int) -> dict:
     """s(G_{n,p}) / max-layer ratios for p = c/n, deterministic under seed."""
+    if n < 1 or trials < 1:
+        raise ValueError("need n >= 1 and trials >= 1")
     p = c / n
     ratios = []
     for t in range(trials):
@@ -235,5 +224,5 @@ def random_graph_width(n: int, c: float, trials: int, seed: int) -> dict:
         width = width_of_complex(elements)["width"]
         max_layer = max(layer_profile(g))
         ratios.append(width / max_layer)
-    mean = sum(ratios) / len(ratios) if ratios else float("nan")
+    mean = sum(ratios) / len(ratios)
     return {"ratios": ratios, "mean": mean, "trials": trials, "seed": seed}

@@ -18,10 +18,6 @@ def bits(mask: int):
         mask ^= b
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 class Graph:
     """Simple undirected graph: vertex count plus per-vertex neighbor bitsets."""
 
@@ -44,9 +40,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edges(self):
         for u in range(self.n):
             m = self.adj[u] >> (u + 1) << (u + 1)
@@ -55,9 +48,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
-
-    def neighbors(self, v: int):
-        return bits(self.adj[v])
 
     def copy(self) -> "Graph":
         g = Graph(self.n)
@@ -436,14 +426,12 @@ def reachable_set(rows, start: int, mask: int) -> int:
     return seen
 
 
-def is_strongly_connected(d: Digraph, mask: int | None = None) -> bool:
-    if mask is None:
-        mask = (1 << d.n) - 1
-    if mask == 0:
+def is_strongly_connected(d: Digraph) -> bool:
+    if d.n == 0:
         return True
-    start = (mask & -mask).bit_length() - 1
-    return (reachable_set(d.out, start, mask) & mask == mask
-            and reachable_set(d.inn, start, mask) & mask == mask)
+    full = (1 << d.n) - 1
+    return (reachable_set(d.out, 0, full) == full
+            and reachable_set(d.inn, 0, full) == full)
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -2,10 +2,10 @@
 strict-majority or r-neighbour rule, plus seeded Monte Carlo estimates of
 full infection and threshold sweeps.
 
-The generic engine works on any Graph.  Square grids additionally get a
-packed-bitboard engine (the whole padded grid lives in one Python int and a
-round is a handful of shifted masks), which is what makes the n=128 sweeps
-affordable.
+The generic engine works on any Graph.  Square grids under the 2-neighbour
+rule additionally get a packed-bitboard engine (the whole padded grid lives
+in one Python int and a round is a handful of shifted masks), which is what
+makes the n=128 sweeps affordable.
 
 Grid seeds replay ``rng.random() < p`` cell by cell without calling it.
 CPython's ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` for two
@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph, bits
+from .graphs import Graph
 
 
 @dataclass
@@ -63,22 +63,6 @@ def percolate(g: Graph, rule: PercRule, infected: int):
         rounds += 1
 
 
-def percolate_rounds_oracle(g: Graph, rule: PercRule, infected: int):
-    """Naive round-by-round recomputation; independent of percolate()."""
-    need = [rule.needed(g.adj[v].bit_count()) for v in range(g.n)]
-    state = {v for v in range(g.n) if infected >> v & 1}
-    rounds = 0
-    while True:
-        add = {v for v in range(g.n)
-               if v not in state
-               and sum(1 for w in bits(g.adj[v]) if w in state) >= max(need[v], 1)}
-        if not add:
-            mask = sum(1 << v for v in state)
-            return mask, rounds
-        state |= add
-        rounds += 1
-
-
 # ---------------------------------------------------------------------------
 # packed-grid engine
 
@@ -108,11 +92,6 @@ class GridFamily:
         self._lane_lo = _lanes((1 << 26) - 1, cells)
         self._lane_p = None
         self._lane_c = 0
-
-    def graph(self) -> Graph:
-        from .graphs import grid_graph
-
-        return grid_graph(self.n, self.n)
 
     def seed_mask(self, rng: random.Random, p: float) -> int:
         """Padded bitboard of the cells with ``rng.random() < p``, drawn in
@@ -159,35 +138,9 @@ class GridFamily:
                 return cur
             cur = new
 
-    def closure_fills(self, infected: int, threshold: int = 2) -> bool:
-        """Does the closure under the r=threshold rule infect everything?"""
-        if threshold == 2:
-            return self._closure2(infected) == self.mask
-        g = self.graph()
-        closure, _ = percolate(g, threshold_rule(threshold),
-                               _unpack(self, infected))
-        return closure == (1 << g.n) - 1
-
-    def closure_equals_graph_engine(self, infected_cells, threshold: int) -> bool:
-        """Cross-check helper: bitboard closure == generic engine closure."""
-        packed = 0
-        for (r, c) in infected_cells:
-            packed |= 1 << ((r + 1) * self.w + (c + 1))
-        g = self.graph()
-        seed = 0
-        for r, c in infected_cells:
-            seed |= 1 << (r * self.n + c)
-        closure, _ = percolate(g, threshold_rule(threshold), seed)
-        return _unpack(self, self._closure2(packed)) == closure
-
-
-def _unpack(fam: GridFamily, packed: int) -> int:
-    out = 0
-    for r in range(fam.n):
-        for c in range(fam.n):
-            if packed >> ((r + 1) * fam.w + (c + 1)) & 1:
-                out |= 1 << (r * fam.n + c)
-    return out
+    def closure_fills(self, infected: int) -> bool:
+        """Does the closure under the 2-neighbour rule infect everything?"""
+        return self._closure2(infected) == self.mask
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +159,11 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(_splitmix64(seed ^ _splitmix64(trial)))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96):
+def wilson_interval(successes: int, trials: int):
     """Wilson 95% score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 0.0, 1.0
+    z = 1.96
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -239,17 +193,17 @@ def estimate_full_infection(g: Graph, p: float, rule: PercRule,
             "trials": trials, "seed": seed}
 
 
-def estimate_grid_full_infection(n: int, p: float, trials: int, seed: int,
-                                 threshold: int = 2) -> dict:
+def estimate_grid_full_infection(n: int, p: float, trials: int,
+                                 seed: int) -> dict:
     """Monte Carlo estimate of P_p(the n x n grid fills) under the
-    r=threshold rule, one ``trial_rng`` stream per trial."""
+    2-neighbour rule, one ``trial_rng`` stream per trial."""
     if not 0 <= p <= 1 or trials < 1:
         raise ValueError("need p in [0,1] and trials >= 1")
     fam = GridFamily(n)
     hits = 0
     for t in range(trials):
         rng = trial_rng(seed, t)
-        if fam.closure_fills(fam.seed_mask(rng, p), threshold):
+        if fam.closure_fills(fam.seed_mask(rng, p)):
             hits += 1
     est, lo, hi = wilson_interval(hits, trials)
     return {"estimate": est, "ci": (lo, hi), "hits": hits,
@@ -295,10 +249,11 @@ class SweepResult:
 
 
 def threshold_sweep(sizes: list[int], p_grid: dict, trials: int,
-                    seed: int, threshold: int = 2) -> list[SweepResult]:
-    """Sweep P(full infection) over a p grid per grid size; p_half by linear
-    interpolation at the 1/2 crossing.  The pi^2/(18 ln n) curve is attached
-    for reference only; nothing asymptotic is asserted at these sizes."""
+                    seed: int) -> list[SweepResult]:
+    """Sweep P(full infection) under the 2-neighbour rule over a p grid per
+    grid size; p_half by linear interpolation at the 1/2 crossing.  The
+    pi^2/(18 ln n) curve is attached for reference only; nothing asymptotic
+    is asserted at these sizes."""
     out = []
     for n in sizes:
         grid = sorted(p_grid[n])
@@ -307,7 +262,7 @@ def threshold_sweep(sizes: list[int], p_grid: dict, trials: int,
         res = SweepResult(n=n, grid=grid, trials=trials, seed=seed)
         for i, p in enumerate(grid):
             stats = estimate_grid_full_infection(
-                n, p, trials, _splitmix64(seed ^ (n << 20) ^ i), threshold)
+                n, p, trials, _splitmix64(seed ^ (n << 20) ^ i))
             res.estimates.append(stats["estimate"])
             lo, hi = stats["ci"]
             res.half_widths.append((hi - lo) / 2)

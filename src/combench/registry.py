@@ -113,15 +113,14 @@ def _half_cycles(seed: int, n: int) -> dict:
 @register("sec5.thomassen.smith", "5.3", "checker", {"n_max": (int, 10)},
           "even Hamilton-cycle count through every edge of every cubic graph")
 def _smith(seed: int, n_max: int) -> dict:
-    from .cycles import ham_cycle_edge_counts
+    from .cycles import smith_parity_check
     from .generate import connected_cubic_graphs
 
     graphs = violations = 0
     for n in range(4, n_max + 1, 2):
         for g in connected_cubic_graphs(n):
             graphs += 1
-            violations += sum(1 for c in ham_cycle_edge_counts(g).values()
-                              if c % 2)
+            violations += len(smith_parity_check(g)["odd_edges"])
     return {"graphs_checked": graphs, "odd_edge_counts": violations}
 
 
@@ -145,7 +144,7 @@ def _bip_even(seed: int, n_max: int) -> dict:
 @register("sec5.thomassen.lollipop", "5.3", "scan", {"n": (int, 10)},
           "lollipop step profile over cyclically 4-edge-connected cubic graphs")
 def _lollipop(seed: int, n: int) -> dict:
-    from .cycles import hamilton_cycles, lollipop_walk
+    from .cycles import lollipop_max_steps
     from .generate import connected_cubic_graphs, cyclically_4_edge_connected
 
     worst = (0, None)
@@ -153,15 +152,12 @@ def _lollipop(seed: int, n: int) -> dict:
     for g in connected_cubic_graphs(n):
         if not cyclically_4_edge_connected(g):
             continue
-        ham = next(iter(hamilton_cycles(g)), None)
-        if ham is None:
+        steps = lollipop_max_steps(g)
+        if steps is None:
             continue
         examined += 1
-        for i in range(len(ham)):
-            e = (ham[i], ham[(i + 1) % n])
-            tr = lollipop_walk(g, ham, e)
-            if tr.steps > worst[0]:
-                worst = (tr.steps, _g6(g))
+        if steps > worst[0]:
+            worst = (steps, _g6(g))
     return {"n": n, "graphs_profiled": examined,
             "max_steps": worst[0], "witness": worst[1]}
 
@@ -471,6 +467,8 @@ def _gl2_greedy(seed: int, n: int, trials: int) -> dict:
 
     from .gl2 import apply_word, greedy_reduce, identity, random_invertible
 
+    if n < 2 or trials < 1:
+        raise BadParams("need n >= 2 and trials >= 1")
     rng = _r.Random(seed)
     tot = 0
     for _ in range(trials):

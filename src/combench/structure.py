@@ -162,15 +162,6 @@ def clique_number(g: Graph) -> int:
     return max_clique(g).bit_count()
 
 
-def brute_force_max_independent(g: Graph) -> int:
-    """Exhaustive oracle: maximum independent-set size over all subsets."""
-    best = 0
-    for mask in range(1 << g.n):
-        if mask.bit_count() > best and edges_inside(g, mask) == 0:
-            best = mask.bit_count()
-    return best
-
-
 def biclique_number(g: Graph) -> int:
     """Largest a+b with K_{a,b} as a (not necessarily induced) subgraph."""
     if g.n < 2:

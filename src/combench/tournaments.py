@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flows
+from .cycles import cycles_through
 from .graphs import Digraph, Graph, bits, is_strongly_connected, reachable_set
 
 
@@ -527,29 +528,13 @@ def partition_into_k_strong(d: Digraph, t: int, k: int, roots=None):
 # mixed 2-factors and coloured matchings
 
 
-def _ug_cycles_through(g: Graph, pivot: int, avail: int):
-    """Simple cycles (>=3 vertices) of g through pivot inside avail."""
-
-    def extend(path, used):
-        v = path[-1]
-        if len(path) >= 3 and g.adj[v] >> pivot & 1 and path[1] < v:
-            yield tuple(path)
-        for w in bits(g.adj[v] & avail & ~used):
-            if w > pivot:
-                path.append(w)
-                yield from extend(path, used | 1 << w)
-                path.pop()
-
-    yield from extend([pivot], 1 << pivot)
-
-
 def _ug_two_factor(g: Graph, avail: int, memo) -> list | None:
     if avail == 0:
         return []
     if avail in memo:
         return memo[avail]
     pivot = (avail & -avail).bit_length() - 1
-    for cyc in _ug_cycles_through(g, pivot, avail):
+    for cyc in cycles_through(g.adj, pivot, avail):
         mask = 0
         for v in cyc:
             mask |= 1 << v
@@ -586,9 +571,6 @@ class ColoredBipartite:
     a: int
     b: int
     colors: dict  # (i, j) -> 1 or 2
-
-    def edges_of_color(self, c: int):
-        return [e for e, col in self.colors.items() if col == c]
 
 
 def colored_two_matchings(bg: ColoredBipartite):

@@ -5,7 +5,10 @@ import random
 from itertools import permutations
 from math import factorial, gcd
 
-from combench.graphs import Digraph, Graph, bits
+from combench.cycles import DisconnectedError
+from combench.graphs import Digraph, Graph, bits, grid_graph, is_connected
+from combench.perc import PercRule, percolate, threshold_rule
+from combench.structure import edges_inside, max_clique
 
 
 def _count_automorphisms(out: list[int], colors) -> int:
@@ -90,6 +93,66 @@ def seed_mask_scalar(fam, rng: random.Random, p: float) -> int:
             if rng.random() < p:
                 m |= 1 << (base + c)
     return m
+
+
+def percolate_rounds_oracle(g: Graph, rule: PercRule, infected: int):
+    """Naive round-by-round recomputation; independent of percolate()."""
+    need = [rule.needed(g.adj[v].bit_count()) for v in range(g.n)]
+    state = {v for v in range(g.n) if infected >> v & 1}
+    rounds = 0
+    while True:
+        add = {v for v in range(g.n)
+               if v not in state
+               and sum(1 for w in bits(g.adj[v]) if w in state) >= max(need[v], 1)}
+        if not add:
+            mask = sum(1 << v for v in state)
+            return mask, rounds
+        state |= add
+        rounds += 1
+
+
+def closure_equals_graph_engine(fam, infected_cells) -> bool:
+    """GridFamily's packed 2-neighbour closure, unpacked to row-major cells,
+    equals the generic engine's closure on the grid graph."""
+    n, w = fam.n, fam.w
+    packed = seed = 0
+    for r, c in infected_cells:
+        packed |= 1 << ((r + 1) * w + (c + 1))
+        seed |= 1 << (r * n + c)
+    closure, _ = percolate(grid_graph(n, n), threshold_rule(2), seed)
+    filled = fam._closure2(packed)
+    unpacked = sum(1 << (r * n + c) for r in range(n) for c in range(n)
+                   if filled >> ((r + 1) * w + (c + 1)) & 1)
+    return unpacked == closure
+
+
+def brute_force_max_independent(g: Graph) -> int:
+    """Maximum independent-set size over all subsets."""
+    best = 0
+    for mask in range(1 << g.n):
+        if mask.bit_count() > best and edges_inside(g, mask) == 0:
+            best = mask.bit_count()
+    return best
+
+
+def brute_force_width(elements: list[int]) -> int:
+    """Max antichain by clique search on the incomparability graph."""
+    g = Graph(len(elements))
+    for i in range(len(elements)):
+        for j in range(i + 1, len(elements)):
+            a, b = elements[i], elements[j]
+            if a & b != a and a & b != b:
+                g.add_edge(i, j)
+    if g.edge_count() == 0:
+        return 1 if elements else 0
+    return max_clique(g).bit_count()
+
+
+def spanning_tree_dimension_oracle(g: Graph) -> int:
+    """|E| - |V| + 1, the GF(2) cycle-space dimension of a connected graph."""
+    if not is_connected(g):
+        raise DisconnectedError
+    return g.edge_count() - g.n + 1
 
 
 def random_avoid_entries(n: int, budget: int, seed: int):

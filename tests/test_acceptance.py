@@ -255,14 +255,14 @@ def test_ac13_latin_avoidance():
 
 
 def test_ac14_property_suites(rng):
-    from combench.families import (brute_force_width, independence_complex,
-                                   width_of_complex)
+    from combench.families import independence_complex, width_of_complex
     from combench.graphs import Graph, grid_graph
     from combench.perc import percolate, threshold_rule
     from combench.coloring import (arrows_vertex, equitable_coloring,
                                    is_equitable, is_proper)
     from combench.graphs import star_graph
     from combench.gl2 import distance, random_invertible
+    from oracles import brute_force_width
 
     # Dilworth duality on random complexes
     for _ in range(6):

@@ -43,7 +43,7 @@ def test_run_validates():
         registry.run("sec11.families.katona", {"n": "x"})
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, tmp_path):
     assert main(["run", "--id", "sec99.none"]) == 3
     assert main(["run", "--id", "sec11.families.katona",
                  "--params", "{bad json"]) == 2
@@ -51,6 +51,7 @@ def test_cli_exit_codes(capsys):
                  "--params", '{"bogus": 1}']) == 2
     # bad input exits 2 with a one-line message, never a traceback
     capsys.readouterr()
+    missing = tmp_path / "missing.txt"
     for argv in (["gen", "--spec", "{bad"],
                  ["tour", "kelly", "&"],
                  ["color", "chromatic", "--graph6", "~~~"],
@@ -73,7 +74,16 @@ def test_cli_exit_codes(capsys):
                  ["tour", "decompose", "&BP_", "--k", "0"],
                  ["tour", "cycles", "&BP_", "--k", "-2"],
                  ["gen", "--spec", '{"n": 3, "max_degree": -1}'],
-                 ["gen", "--spec", '{"n": 4, "max_edges": -1}']):
+                 ["gen", "--spec", '{"n": 4, "max_edges": -1}'],
+                 ["run", "--id", "sec7.markstrom.gl2-greedy",
+                  "--params", '{"n": 1}'],
+                 ["run", "--id", "sec7.markstrom.gl2-greedy",
+                  "--params", '{"trials": 0}'],
+                 ["run", "--id", "sec4.falgas-ravry.random",
+                  "--params", '{"trials": 0}'],
+                 ["des", "avoid", "--file", str(missing)],
+                 ["des", "dom3", "--file", str(missing)],
+                 ["ext", "ramsey", "--file", str(missing)]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
@@ -110,6 +120,15 @@ def test_cli_verbs(capsys):
     assert main(["cycles", "half-cycles", "--n", "6"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2  # two connected cubic graphs on six vertices
+
+    assert main(["cycles", "smith", "--n", "8"]) == 0
+    assert capsys.readouterr().out == (
+        "8,GBqkbC,0\n8,GJQkcS,0\n8,G}?HWw,0\n8,GLQkQc,0\n8,GFQkRC,0\n")
+    assert main(["cycles", "lollipop", "--n", "8"]) == 0
+    assert capsys.readouterr().out == (
+        "8,GBqkbC,3\n8,GJQkcS,6\n8,G}?HWw,5\n8,GLQkQc,2\n8,GFQkRC,1\n")
+    assert main(["cycles", "lollipop", "--n", "8", "--profile"]) == 0
+    assert capsys.readouterr().out == "8,GLQkQc,2\n8,GFQkRC,1\n"
 
     assert main(["perc", "--sizes", "32", "--trials", "40"]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,10 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import combench
 from combench import flows
 from combench.graphs import (Digraph, Graph, bipartition, bits, complete_bipartite,
                              complete_graph, cycle_graph, empty_graph,
@@ -13,11 +16,10 @@ from combench.graphs import (Digraph, Graph, bipartition, bits, complete_biparti
                              rotational_tournament, to_arc_list, to_digraph6,
                              to_edge_list, to_graph6, transitive_tournament)
 from combench.structure import (EmptyGraphError, biclique_number,
-                                brute_force_max_independent,
                                 independence_number, mad, max_independent_set,
                                 structure_report)
 from conftest import random_graph
-from oracles import check_graph
+from oracles import brute_force_max_independent, check_graph
 
 
 def test_structure_report_trivial():
@@ -261,3 +263,27 @@ def test_flow_connectivities(rng):
                     for limit in (1, 2, 3, flows.INF):
                         assert (flows.arc_flow(rows, s, t, limit)
                                 == unit_flow(rows, s, t, limit))
+
+
+def _top_level_names(node) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [a.asname or a.name for a in node.names]
+    targets = node.targets if isinstance(node, ast.Assign) else [
+        getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_shipped_modules_hold_no_asserts_or_oracles():
+    """Checks in src/combench must survive ``python -O``, and test-only
+    oracles live in tests/oracles.py, not in the shipped modules."""
+    found = []
+    for path in sorted(Path(combench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno} assert" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+        found += [f"{path.name}:{node.lineno} {name}" for node in tree.body
+                  for name in _top_level_names(node)
+                  if name.startswith("brute_force_") or name.endswith("_oracle")]
+    assert found == []

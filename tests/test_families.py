@@ -7,14 +7,14 @@ from pathlib import Path
 import pytest
 
 import combench
-from combench.families import (brute_force_width, independence_complex,
-                               katona_bound, layer_profile, max_family,
-                               milner_bound, random_graph_width,
-                               width_details, width_independence_complex,
-                               width_of_complex)
+from combench.families import (independence_complex, katona_bound,
+                               layer_profile, max_family, milner_bound,
+                               random_graph_width, width_details,
+                               width_independence_complex, width_of_complex)
 from combench.graphs import complete_graph, cycle_graph, empty_graph, path_graph
 from combench.structure import TooLargeError
 from conftest import random_graph
+from oracles import brute_force_width
 
 
 def test_bounds_formulas():

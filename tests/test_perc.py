@@ -8,9 +8,10 @@ from combench.graphs import complete_graph, grid_graph, path_graph
 from combench.perc import (DEFAULT_GRIDS, GridFamily, MAJORITY,
                            estimate_full_infection,
                            estimate_grid_full_infection, parse_sizes, percolate,
-                           percolate_rounds_oracle, threshold_rule,
-                           threshold_sweep, trial_rng, wilson_interval)
-from oracles import seed_mask_scalar
+                           threshold_rule, threshold_sweep, trial_rng,
+                           wilson_interval)
+from oracles import (closure_equals_graph_engine, percolate_rounds_oracle,
+                     seed_mask_scalar)
 
 
 def test_percolate_examples():
@@ -48,7 +49,7 @@ def test_bitboard_matches_generic(rng):
     for _ in range(25):
         cells = {(rng.randrange(7), rng.randrange(7))
                  for _ in range(rng.randrange(18))}
-        assert fam.closure_equals_graph_engine(sorted(cells), 2)
+        assert closure_equals_graph_engine(fam, sorted(cells))
 
 
 def test_seed_mask_matches_scalar_oracle():

@@ -37,6 +37,8 @@ def test_known_payload_values():
     assert rep.payload["failures"] == 0 and rep.payload["pairs_checked"] > 0
     rep = registry.run("sec9.aas-mckay.cycle-space", {"n_max": 5})
     assert rep.payload["gf2_violations"] == rep.payload["gf3_violations"] == 0
+    rep = registry.run("sec5.rucinski.mcr", {})
+    assert rep.payload["best_mad"] == "3" and rep.payload["witness"] == "EElw"
 
 
 def test_checker_entries_report_zero_failures():
