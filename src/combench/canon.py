@@ -11,8 +11,11 @@ whose (path invariant, adjacency string) is lexicographically greatest.
 * A split replaces a cell in place by its parts in ascending key order,
   and never moves other cells.  An uncoloured graph first splits by degree,
   so every leaf orders the vertices by ascending degree, and the
-  canonical-last vertex has maximum degree; ``generate`` relies on this to
-  skip children whose new vertex does not.
+  canonical-last vertex has maximum degree.  An uncoloured digraph first
+  splits by (out-degree, in-degree); in a tournament the in-degree is n - 1
+  minus the out-degree, so the canonical-last vertex has maximum score.
+  ``generate`` relies on both to skip children whose new vertex cannot be
+  canonical-last.
 * Each refinement records a trace, one entry (cell index, sorted split
   keys, part sizes) per split.  A node's path invariant is the sequence of
   traces from the root, so comparing nodes costs nothing beyond the

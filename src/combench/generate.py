@@ -3,12 +3,12 @@
 Three engines:
 
 * general graphs: canonical augmentation by vertex (parent = child minus the
-  vertex in the canonical-last orbit), optionally constrained by hereditary
-  predicates (max degree, max edges, bipartite).  The canonical-last vertex
-  has maximum degree (see canon), so only neighbour masks that give the new
-  vertex maximum degree are tried (the filter of McKay's geng).  Each
-  unconstrained level certifies its completeness: sum(k!/|Aut(G)|) over its
-  classes must equal 2^C(k,2), else RuntimeError;
+  vertex in the canonical-last orbit, see _augment), optionally constrained
+  by hereditary predicates (max degree, max edges, bipartite).  The
+  canonical-last vertex has maximum degree (see canon), so only neighbour
+  masks that give the new vertex maximum degree are tried (the filter of
+  McKay's geng).  Each unconstrained level certifies its completeness:
+  sum(k!/|Aut(G)|) over its classes must equal 2^C(k,2), else RuntimeError;
 * cubic graphs: levelwise edge insertion (subdivide two distinct edges, join
   the new vertices).  Each parent inserts one unordered edge pair per orbit
   of its automorphism group (the first pair of the orbit in edge-pair
@@ -20,7 +20,13 @@ Three engines:
   their level.  Certificates dedupe each level, and each level certifies
   its own completeness: sum(n!/|Aut(G)|) over its classes must equal
   labeled_cubic_count(n), else RuntimeError;
-* tournaments: vertex augmentation with certificate dedupe per level.
+* tournaments: the same augmentation loop over beat-patterns (the parent
+  vertices the new vertex beats), with no dict of certificates: each class
+  comes from one parent and one orbit of patterns.  The canonical-last
+  vertex has maximum score (see canon), so with top score t and top-score
+  set H in the parent only patterns p with |p| > t, or |p| = t and H inside
+  p, are tried.  Every level certifies sum(n!/|Aut(T)|) = 2^C(n,2), else
+  RuntimeError.
 
 Completeness of each engine is also cross-checked in the tests against exact
 labeled counts through the identity sum(n!/|Aut(G)|) = #labeled graphs.
@@ -79,6 +85,55 @@ def _orbit_reps(masks, gens) -> list[int]:
     return reps
 
 
+def _candidates(rows, flip: int) -> list[int]:
+    """The masks m over the parent's vertices that can make the new vertex
+    canonical-last: that vertex has maximum degree (see canon), so it needs
+    degree popcount(m) at least the parent's top degree, and above it when a
+    top-degree vertex gains one.  The vertices that gain are m ^ flip: m for
+    graphs (flip 0), the vertices beating the new one for tournaments (flip
+    all ones).  The condition is invariant under Aut(parent), so the kept
+    masks stay closed under it."""
+    top = max(row.bit_count() for row in rows)
+    hi = sum(1 << v for v, row in enumerate(rows) if row.bit_count() == top)
+    return [m for m in range(1 << len(rows))
+            if m.bit_count() > top
+            or (m.bit_count() == top and not (m ^ flip) & hi)]
+
+
+def _augment(level, k: int, form, rows, flip: int, build,
+             certify: str | None):
+    """Order k of a catalog from its order k - 1 (``level``) by canonical
+    augmentation by a vertex.
+
+    Each parent tries one candidate mask per orbit of its automorphism
+    group; ``build(parent, mask)`` returns the child, with the new vertex
+    last, or None when a constraint rejects it.  A child is kept iff its new
+    vertex lies in the orbit of its canonical-last vertex, so each class
+    comes from exactly one parent and one orbit (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).  When ``certify`` names
+    the catalog, the level must pass sum(k!/|Aut|) = 2^C(k,2), else
+    RuntimeError.  The level comes back sorted by certificate.
+    """
+    out = []
+    labeled = 0
+    for parent in level:
+        for mask in _orbit_reps(_candidates(rows(parent), flip),
+                                form(parent).generators):
+            child = build(parent, mask)
+            if child is None:
+                continue
+            cf = form(child)
+            if cf.orbits[k - 1] == cf.orbits[cf.labeling.index(k - 1)]:
+                out.append((cf.bytes, child))
+                labeled += factorial(k) // cf.aut_order
+    if certify and labeled != 1 << comb(k, 2):
+        raise RuntimeError(f"{certify} on {k} vertices fail the completeness "
+                           f"certificate: {labeled} labelled, expected "
+                           f"{1 << comb(k, 2)}")
+    out.sort(key=lambda t: t[0])
+    return [c for _, c in out]
+
+
 def graphs_upto(n: int, max_degree: int | None = None,
                 max_edges: int | None = None,
                 bipartite_only: bool = False,
@@ -95,53 +150,35 @@ def graphs_upto(n: int, max_degree: int | None = None,
     """
     certify = (max_degree is None and max_edges is None and not bipartite_only
                and final_regular is None)
+
+    def build(parent: Graph, mask: int) -> Graph | None:
+        if max_degree is not None:
+            if mask.bit_count() > max_degree:
+                return None
+            if any((parent.adj[v].bit_count() + 1) > max_degree
+                   for v in bits(mask)):
+                return None
+        if max_edges is not None and parent.edge_count() + mask.bit_count() > max_edges:
+            return None
+        k = parent.n + 1
+        child = Graph(k)
+        child.adj = list(parent.adj) + [0]
+        for v in bits(mask):
+            child.adj[v] |= 1 << (k - 1)
+            child.adj[k - 1] |= 1 << v
+        if bipartite_only and not is_bipartite(child):
+            return None
+        if final_regular is not None and not _regular_completable(
+                child, n, final_regular):
+            return None
+        return child
+
     level = [Graph(1)] if base is None else list(base)
     levels: dict[int, list[Graph]] = {1: level} if base is None else {}
     for k in range(level[0].n + 1, n + 1):
-        out = []
-        labeled = 0
-        for parent in level:
-            pcf = canonical_form(parent)
-            # The canonical-last vertex has maximum degree (see canon), so the
-            # new vertex must reach the parent's top degree and exceed it if
-            # it touches a top-degree vertex.  The condition is invariant
-            # under Aut(parent), so the kept masks stay closed under it.
-            top = max(row.bit_count() for row in parent.adj)
-            hi = sum(1 << v for v, row in enumerate(parent.adj)
-                     if row.bit_count() == top)
-            masks = [m for m in range(1 << (k - 1))
-                     if m.bit_count() > top or (m.bit_count() == top and not m & hi)]
-            for mask in _orbit_reps(masks, pcf.generators):
-                if max_degree is not None:
-                    if mask.bit_count() > max_degree:
-                        continue
-                    if any((parent.adj[v].bit_count() + 1) > max_degree
-                           for v in bits(mask)):
-                        continue
-                if max_edges is not None and parent.edge_count() + mask.bit_count() > max_edges:
-                    continue
-                child = Graph(k)
-                child.adj = list(parent.adj) + [0]
-                for v in bits(mask):
-                    child.adj[v] |= 1 << (k - 1)
-                    child.adj[k - 1] |= 1 << v
-                if bipartite_only and not is_bipartite(child):
-                    continue
-                if final_regular is not None and not _regular_completable(
-                        child, n, final_regular):
-                    continue
-                ccf = canonical_form(child)
-                new_v = k - 1
-                canon_last = ccf.labeling.index(k - 1)
-                if ccf.orbits[new_v] == ccf.orbits[canon_last]:
-                    out.append((ccf.bytes, child))
-                    labeled += factorial(k) // ccf.aut_order
-        if certify and labeled != 1 << comb(k, 2):
-            raise RuntimeError(f"graphs on {k} vertices fail the completeness "
-                               f"certificate: {labeled} labelled graphs, "
-                               f"expected {1 << comb(k, 2)}")
-        out.sort(key=lambda t: t[0])
-        level = levels[k] = [g for _, g in out]
+        level = levels[k] = _augment(level, k, canonical_form,
+                                     lambda g: g.adj, 0, build,
+                                     "graphs" if certify else None)
     return levels
 
 
@@ -390,25 +427,28 @@ def _component_vertex_lists(g: Graph) -> list[list[int]]:
 # tournaments
 
 
+def _beat_child(parent: Digraph, beats: int) -> Digraph:
+    """``parent`` plus a last vertex that beats the vertices in ``beats`` and
+    loses to the others."""
+    k = parent.n + 1
+    rows = list(parent.out) + [beats]
+    for v in range(k - 1):
+        if not beats >> v & 1:
+            rows[v] |= 1 << (k - 1)
+    return Digraph.from_rows(k, rows)
+
+
 @lru_cache(maxsize=None)
 def tournaments(n: int) -> tuple[Digraph, ...]:
-    """All tournaments on n vertices up to isomorphism."""
+    """All tournaments on n vertices up to isomorphism, sorted by
+    certificate; each order is certified complete (see _augment)."""
     if n < 1:
         return ()
     if n == 1:
         return (Digraph(1),)
-    found: dict[bytes, Digraph] = {}
-    for parent in tournaments(n - 1):
-        for pattern in range(1 << (n - 1)):
-            rows = list(parent.out) + [pattern]
-            for v in range(n - 1):
-                if not pattern >> v & 1:
-                    rows[v] |= 1 << (n - 1)
-            child = Digraph.from_rows(n, rows)
-            cert = canonical_form_digraph(child).bytes
-            if cert not in found:
-                found[cert] = child
-    return tuple(d for _, d in sorted(found.items()))
+    return tuple(_augment(tournaments(n - 1), n, canonical_form_digraph,
+                          lambda d: d.out, (1 << (n - 1)) - 1, _beat_child,
+                          "tournaments"))
 
 
 def regular_tournaments(n: int) -> tuple[Digraph, ...]:
@@ -417,40 +457,6 @@ def regular_tournaments(n: int) -> tuple[Digraph, ...]:
     k = (n - 1) // 2
     return tuple(t for t in tournaments(n)
                  if all(t.out_degree(v) == k for v in range(n)))
-
-
-def labeled_regular_tournament_count(n: int) -> int:
-    """Count labeled regular tournaments by row-wise backtracking."""
-    if n % 2 == 0:
-        return 0
-    k = (n - 1) // 2
-    count = 0
-
-    def rec(v: int, outdeg: list[int]):
-        nonlocal count
-        if v == n:
-            count += 1
-            return
-        rem = n - 1 - v  # vertices after v
-        need = k - outdeg[v]
-        if need < 0 or need > rem:
-            return
-        for wins in itertools.combinations(range(v + 1, n), need):
-            win_set = set(wins)
-            new = list(outdeg)
-            new[v] = k
-            ok = True
-            for w in range(v + 1, n):
-                if w not in win_set:
-                    new[w] += 1
-                    if new[w] > k:
-                        ok = False
-                        break
-            if ok:
-                rec(v + 1, new)
-
-    rec(0, [0] * n)
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ class ProblemEntry:
     id: str
     section: str
     kind: str                    # checker | exact | scan | monte-carlo
-    params: dict                 # name -> (type, default)
+    params: dict                 # name -> (type, default, minimum or None)
     runner: object
     note: str = ""
 
@@ -67,7 +67,7 @@ def run(problem_id: str, params: dict | None = None, seed: int = 0) -> RunReport
     entry = _REGISTRY[problem_id]
     merged = {}
     params = params or {}
-    for name, (typ, default) in entry.params.items():
+    for name, (typ, default, minimum) in entry.params.items():
         if name in params:
             try:
                 merged[name] = typ(params[name])
@@ -75,12 +75,15 @@ def run(problem_id: str, params: dict | None = None, seed: int = 0) -> RunReport
                 raise BadParams(f"parameter {name}: {exc}") from exc
         else:
             merged[name] = default
+        if minimum is not None and merged[name] < minimum:
+            raise BadParams(f"parameter {name} must be >= {minimum}, "
+                            f"got {merged[name]}")
     for name in params:
         if name not in entry.params:
             raise BadParams(f"unknown parameter {name!r} for {problem_id}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     payload = entry.runner(seed=seed, **merged)
-    return RunReport(problem_id, merged, seed, time.time() - t0, payload)
+    return RunReport(problem_id, merged, seed, time.perf_counter() - t0, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +96,7 @@ def _g6(g) -> str:
 
 
 @register("sec8.mckay.half-cycles", "8.1", "exact",
-          {"n": (int, 12)},
+          {"n": (int, 12, 4)},
           "maximum number of (n/2)-cycles over connected cubic graphs")
 def _half_cycles(seed: int, n: int) -> dict:
     from .cycles import count_cycles_of_length
@@ -110,7 +113,7 @@ def _half_cycles(seed: int, n: int) -> dict:
             "witnesses": [_g6(w) for w in witnesses[:4]]}
 
 
-@register("sec5.thomassen.smith", "5.3", "checker", {"n_max": (int, 10)},
+@register("sec5.thomassen.smith", "5.3", "checker", {"n_max": (int, 10, 4)},
           "even Hamilton-cycle count through every edge of every cubic graph")
 def _smith(seed: int, n_max: int) -> dict:
     from .cycles import smith_parity_check
@@ -124,7 +127,7 @@ def _smith(seed: int, n_max: int) -> dict:
     return {"graphs_checked": graphs, "odd_edge_counts": violations}
 
 
-@register("sec5.thomassen.bipartite-even", "5.3", "checker", {"n_max": (int, 10)},
+@register("sec5.thomassen.bipartite-even", "5.3", "checker", {"n_max": (int, 10, 4)},
           "even total Hamilton-cycle count for bipartite cubic graphs")
 def _bip_even(seed: int, n_max: int) -> dict:
     from .cycles import count_ham_cycles
@@ -141,7 +144,7 @@ def _bip_even(seed: int, n_max: int) -> dict:
     return {"bipartite_cubic_checked": graphs, "odd_totals": violations}
 
 
-@register("sec5.thomassen.lollipop", "5.3", "scan", {"n": (int, 10)},
+@register("sec5.thomassen.lollipop", "5.3", "scan", {"n": (int, 10, 4)},
           "lollipop step profile over cyclically 4-edge-connected cubic graphs")
 def _lollipop(seed: int, n: int) -> dict:
     from .cycles import lollipop_max_steps
@@ -162,7 +165,7 @@ def _lollipop(seed: int, n: int) -> dict:
             "max_steps": worst[0], "witness": worst[1]}
 
 
-@register("sec2.kelly.small", "2", "checker", {"n_max": (int, 7)},
+@register("sec2.kelly.small", "2", "checker", {"n_max": (int, 7, 3)},
           "regular tournaments decompose into Hamilton cycles")
 def _kelly(seed: int, n_max: int) -> dict:
     from .generate import regular_tournaments
@@ -181,7 +184,7 @@ def _kelly(seed: int, n_max: int) -> dict:
                                         for r in rows)}
 
 
-@register("sec2.bjy.k2-decomp", "2", "checker", {"n_max": (int, 6)},
+@register("sec2.bjy.k2-decomp", "2", "checker", {"n_max": (int, 6, 3)},
           "2-arc-strong tournaments split into two arc-disjoint strong parts")
 def _bjy(seed: int, n_max: int) -> dict:
     from .generate import tournaments
@@ -199,7 +202,7 @@ def _bjy(seed: int, n_max: int) -> dict:
 
 
 @register("sec2.bermond-thomassen.tournaments", "2", "checker",
-          {"n_max": (int, 7)},
+          {"n_max": (int, 7, 3)},
           "min out-degree 3 tournaments contain 2 disjoint cycles")
 def _bt(seed: int, n_max: int) -> dict:
     from .generate import tournaments
@@ -215,7 +218,7 @@ def _bt(seed: int, n_max: int) -> dict:
     return {"checked": checked, "failures": failures}
 
 
-@register("sec2.partition-roots", "2", "scan", {"n": (int, 6)},
+@register("sec2.partition-roots", "2", "scan", {"n": (int, 6, 1)},
           "rooted partitions into strong parts")
 def _partition_roots(seed: int, n: int) -> dict:
     from .generate import tournaments
@@ -229,7 +232,7 @@ def _partition_roots(seed: int, n: int) -> dict:
     return {"n": n, "tournaments": tried, "partitionable_t2_k1": found}
 
 
-@register("sec2.two-factor-directed", "2", "checker", {"n": (int, 6)},
+@register("sec2.two-factor-directed", "2", "checker", {"n": (int, 6, 3)},
           "2-factor of UG(D) with one directed cycle")
 def _two_factor(seed: int, n: int) -> dict:
     import random as _r
@@ -254,7 +257,7 @@ def _two_factor(seed: int, n: int) -> dict:
     return {"n": n, "with_factor": yes, "without": no}
 
 
-@register("sec2.colored-matchings", "2", "checker", {"n": (int, 4)},
+@register("sec2.colored-matchings", "2", "checker", {"n": (int, 4, 1)},
           "colour-constrained disjoint perfect matchings")
 def _colored(seed: int, n: int) -> dict:
     import random as _r
@@ -277,7 +280,7 @@ def _colored(seed: int, n: int) -> dict:
 
 
 @register("sec3.pikhurko.pendant", "3.1", "scan",
-          {"d": (int, 3), "n_max": (int, 6)},
+          {"d": (int, 3, 0), "n_max": (int, 6, 1)},
           "pendant precolouring extension and forced extra palette")
 def _pendant(seed: int, d: int, n_max: int) -> dict:
     from .coloring import pendant_f_scan
@@ -287,7 +290,7 @@ def _pendant(seed: int, d: int, n_max: int) -> dict:
 
 
 @register("sec4.kierstead.equitable", "4.2", "checker",
-          {"n": (int, 60), "delta": (int, 5), "k": (int, 6)},
+          {"n": (int, 60, 1), "delta": (int, 5, 0), "k": (int, 6, 1)},
           "equitable k-colouring for max degree < k")
 def _equitable(seed: int, n: int, delta: int, k: int) -> dict:
     import random as _r
@@ -308,7 +311,7 @@ def _equitable(seed: int, n: int, delta: int, k: int) -> dict:
             "spread": sizes[-1] - sizes[0]}
 
 
-@register("sec4.heuvel.cyclic-ordering", "4.3.1", "checker", {"n": (int, 4)},
+@register("sec4.heuvel.cyclic-ordering", "4.3.1", "checker", {"n": (int, 4, 1)},
           "cyclic orderings of disjoint spanning trees")
 def _cyclic_ord(seed: int, n: int) -> dict:
     from .designs import (cyclic_base_ordering, graphic_independence,
@@ -325,7 +328,7 @@ def _cyclic_ord(seed: int, n: int) -> dict:
     }
 
 
-@register("sec4.heuvel.strong-hypergraph", "4.3.2", "exact", {"n": (int, 5)},
+@register("sec4.heuvel.strong-hypergraph", "4.3.2", "exact", {"n": (int, 5, 3)},
           "chi_s vs chi_d on small hypergraphs")
 def _strong_hyper(seed: int, n: int) -> dict:
     from .coloring import hyper_strong_chromatic
@@ -337,7 +340,7 @@ def _strong_hyper(seed: int, n: int) -> dict:
     return {"tight_cycle": rec, "upper_bound_holds": ok}
 
 
-@register("sec4.falgas-ravry.width", "4.4", "exact", {"n_max": (int, 14)},
+@register("sec4.falgas-ravry.width", "4.4", "exact", {"n_max": (int, 14, 3)},
           "antichain width of path/cycle independence complexes vs max layer")
 def _width(seed: int, n_max: int) -> dict:
     from .families import layer_profile, width_independence_complex
@@ -354,7 +357,7 @@ def _width(seed: int, n_max: int) -> dict:
 
 
 @register("sec4.falgas-ravry.random", "4.4", "monte-carlo",
-          {"n": (int, 14), "c": (float, 1.0), "trials": (int, 5)},
+          {"n": (int, 14, 1), "c": (float, 1.0, None), "trials": (int, 5, 1)},
           "width / max-layer ratio for sparse random graphs")
 def _width_random(seed: int, n: int, c: float, trials: int) -> dict:
     from .families import random_graph_width
@@ -363,7 +366,7 @@ def _width_random(seed: int, n: int, c: float, trials: int) -> dict:
 
 
 @register("sec5.simonovits.critical", "5.1", "scan",
-          {"k": (int, 4), "n_max": (int, 6)},
+          {"k": (int, 4, 1), "n_max": (int, 6, 1)},
           "max min-degree over k-colour-critical graphs")
 def _critical(seed: int, k: int, n_max: int) -> dict:
     from .coloring import critical_min_degree_scan
@@ -373,7 +376,7 @@ def _critical(seed: int, k: int, n_max: int) -> dict:
             "witnesses": [_g6(w) for w in wits[:4]]}
 
 
-@register("sec5.fomin.mis", "5.2", "checker", {"n": (int, 10)},
+@register("sec5.fomin.mis", "5.2", "checker", {"n": (int, 10, 1)},
           "exact maximum independent sets vs the floor(n/4)+1 target")
 def _fomin(seed: int, n: int) -> dict:
     from .graphs import petersen_graph
@@ -385,7 +388,7 @@ def _fomin(seed: int, n: int) -> dict:
 
 
 @register("sec5.backelin.shift", "5.4", "exact",
-          {"n": (int, 7), "r": (int, 2), "pattern": (str, "XOXO")},
+          {"n": (int, 7, 1), "r": (int, 2, 2), "pattern": (str, "XOXO", None)},
           "chromatic numbers of cyclic shift graphs")
 def _shift(seed: int, n: int, r: int, pattern: str) -> dict:
     from .coloring import chromatic_number, shift_graph_cyclic
@@ -396,7 +399,7 @@ def _shift(seed: int, n: int, r: int, pattern: str) -> dict:
 
 
 @register("sec5.rucinski.mcr", "5.5", "scan",
-          {"n_max": (int, 6), "r": (int, 2)},
+          {"n_max": (int, 6, 1), "r": (int, 2, 1)},
           "vertex arrowing of the 2-edge star and the mad scan")
 def _mcr(seed: int, n_max: int, r: int) -> dict:
     from fractions import Fraction
@@ -413,7 +416,7 @@ def _mcr(seed: int, n_max: int, r: int) -> dict:
             "witness": _g6(witness) if witness else None}
 
 
-@register("sec6.lo.overfull", "6", "checker", {"n_max": (int, 7)},
+@register("sec6.lo.overfull", "6", "checker", {"n_max": (int, 7, 2)},
           "overfull subgraphs force chromatic index Delta+1")
 def _overfull(seed: int, n_max: int) -> dict:
     from .coloring import edge_chromatic_class, has_overfull_subgraph
@@ -436,7 +439,7 @@ def _overfull(seed: int, n_max: int) -> dict:
 
 
 @register("sec7.verstraete.percolation", "7.1", "monte-carlo",
-          {"sizes": (str, "32,64"), "trials": (int, 400)},
+          {"sizes": (str, "32,64", None), "trials": (int, 400, 1)},
           "threshold sweeps for 2-neighbour bootstrap percolation on grids")
 def _perc(seed: int, sizes: str, trials: int) -> dict:
     from .perc import default_grids, parse_sizes, threshold_sweep
@@ -447,7 +450,7 @@ def _perc(seed: int, sizes: str, trials: int) -> dict:
                         "estimates": s.estimates} for s in sweeps]}
 
 
-@register("sec7.markstrom.gl2", "7.2", "exact", {"n": (int, 3)},
+@register("sec7.markstrom.gl2", "7.2", "exact", {"n": (int, 3, 1)},
           "Cayley diameter of GL(n,2) under row additions")
 def _gl2(seed: int, n: int) -> dict:
     from .gl2 import diameter
@@ -459,7 +462,7 @@ def _gl2(seed: int, n: int) -> dict:
 
 
 @register("sec7.markstrom.gl2-greedy", "7.2", "scan",
-          {"n": (int, 64), "trials": (int, 25)},
+          {"n": (int, 64, 2), "trials": (int, 25, 1)},
           "blockwise reduction operation counts vs n^2/log2 n")
 def _gl2_greedy(seed: int, n: int, trials: int) -> dict:
     import math
@@ -467,8 +470,6 @@ def _gl2_greedy(seed: int, n: int, trials: int) -> dict:
 
     from .gl2 import apply_word, greedy_reduce, identity, random_invertible
 
-    if n < 2 or trials < 1:
-        raise BadParams("need n >= 2 and trials >= 1")
     rng = _r.Random(seed)
     tot = 0
     for _ in range(trials):
@@ -484,7 +485,7 @@ def _gl2_greedy(seed: int, n: int, trials: int) -> dict:
 
 
 @register("sec7.rucinski.sat", "7.3", "exact",
-          {"n": (int, 6), "k": (int, 2), "ell": (int, 1)},
+          {"n": (int, 6, 1), "k": (int, 2, 2), "ell": (int, 1, 1)},
           "minimum size of an l-Hamiltonian-saturated k-graph")
 def _sat(seed: int, n: int, k: int, ell: int) -> dict:
     from .extremal import sat_search
@@ -494,7 +495,7 @@ def _sat(seed: int, n: int, k: int, ell: int) -> dict:
             "ceil_3n_over_2": -(-3 * n // 2)}
 
 
-@register("sec8.mckay.max-aut", "8.1", "exact", {"n": (int, 8)},
+@register("sec8.mckay.max-aut", "8.1", "exact", {"n": (int, 8, 4)},
           "max automorphism order of 3-connected cubic graphs")
 def _max_aut(seed: int, n: int) -> dict:
     from .generate import max_aut_3connected_cubic
@@ -506,7 +507,7 @@ def _max_aut(seed: int, n: int) -> dict:
 
 
 @register("sec8.mckay.magic", "8.1", "exact",
-          {"n": (int, 3), "k_max": (int, 12)},
+          {"n": (int, 3, 1), "k_max": (int, 12, 0)},
           "magic matrix counts, positivity fractions, Ehrhart reciprocity")
 def _magic(seed: int, n: int, k_max: int) -> dict:
     from .designs import count_magic, ehrhart_check, positive_fraction
@@ -517,7 +518,7 @@ def _magic(seed: int, n: int, k_max: int) -> dict:
     return {"n": n, "rows": rows, "reciprocity": ehrhart_check(n, k_max)}
 
 
-@register("sec8.thomason.path-systems", "8.2", "checker", {"labels": (int, 3)},
+@register("sec8.thomason.path-systems", "8.2", "checker", {"labels": (int, 3, 1)},
           "path-system realizability")
 def _paths(seed: int, labels: int) -> dict:
     from .designs import realize_path_system
@@ -529,7 +530,7 @@ def _paths(seed: int, labels: int) -> dict:
 
 
 @register("sec8.kostochka.jk-coloring", "8.4.1", "checker",
-          {"n_max": (int, 7), "j": (int, 1), "k": (int, 1)},
+          {"n_max": (int, 7, 1), "j": (int, 1, 0), "k": (int, 1, 0)},
           "(j,k)-colourings exist for max degree <= j+k+1")
 def _jk(seed: int, n_max: int, j: int, k: int) -> dict:
     from .coloring import improper_partition
@@ -545,7 +546,7 @@ def _jk(seed: int, n_max: int, j: int, k: int) -> dict:
     return {"checked": checked, "failures": failures}
 
 
-@register("sec8.kostochka.circle", "8.4.2", "exact", {"chords": (int, 5)},
+@register("sec8.kostochka.circle", "8.4.2", "exact", {"chords": (int, 5, 1)},
           "clique and chromatic numbers of circle graphs")
 def _circle(seed: int, chords: int) -> dict:
     import random as _r
@@ -563,7 +564,7 @@ def _circle(seed: int, chords: int) -> dict:
 
 
 @register("sec8.conlon.mono-cycles", "8.5", "checker",
-          {"n": (int, 7), "trials": (int, 10)},
+          {"n": (int, 7, 2), "trials": (int, 10, 1)},
           "2-locally coloured complete graphs split into two mono cycles")
 def _mono(seed: int, n: int, trials: int) -> dict:
     import random as _r
@@ -593,7 +594,7 @@ def _mono(seed: int, n: int, trials: int) -> dict:
     return {"n": n, "tested": tested, "max_pieces": worst}
 
 
-@register("sec9.simonovits.turan", "9.1", "exact", {"n": (int, 6)},
+@register("sec9.simonovits.turan", "9.1", "exact", {"n": (int, 6, 3)},
           "brute-force Turan numbers")
 def _turan(seed: int, n: int) -> dict:
     from .extremal import turan_number
@@ -606,7 +607,7 @@ def _turan(seed: int, n: int) -> dict:
             "tree_bound": n - 1}
 
 
-@register("sec9.aas-mckay.cycle-space", "9.2", "checker", {"n_max": (int, 6)},
+@register("sec9.aas-mckay.cycle-space", "9.2", "checker", {"n_max": (int, 6, 2)},
           "cycle space dimensions over GF(2) and GF(3)")
 def _cycle_space(seed: int, n_max: int) -> dict:
     from . import flows
@@ -631,7 +632,7 @@ def _cycle_space(seed: int, n_max: int) -> dict:
 
 
 @register("sec9.gyarfas.3tournament", "9.3", "scan",
-          {"n": (int, 6), "budget": (int, 200)},
+          {"n": (int, 6, 1), "budget": (int, 200, 1)},
           "domination numbers of random 3-tournaments")
 def _dom(seed: int, n: int, budget: int) -> dict:
     from .designs import dom_scan
@@ -641,7 +642,7 @@ def _dom(seed: int, n: int, budget: int) -> dict:
 
 
 @register("sec9.markstrom.strong-chromatic", "9.4", "checker",
-          {"n_max": (int, 5)},
+          {"n_max": (int, 5, 2)},
           "biclique number vs strong chromatic number")
 def _strong_chi(seed: int, n_max: int) -> dict:
     from .coloring import strong_chromatic_number
@@ -664,7 +665,7 @@ def _strong_chi(seed: int, n_max: int) -> dict:
             "exceeding_biclique_plus_1": above_plus1}
 
 
-@register("sec9.sudakov.bipartization", "9.5", "exact", {"n": (int, 10)},
+@register("sec9.sudakov.bipartization", "9.5", "exact", {"n": (int, 10, 5)},
           "edge deletions to make K_r-free graphs bipartite")
 def _bipartization(seed: int, n: int) -> dict:
     from .extremal import bipartization_cost
@@ -682,7 +683,7 @@ def _bipartization(seed: int, n: int) -> dict:
             "n2_over_25": n * n // 25, "k_r_free_for": rec["k_r_free_for"]}
 
 
-@register("sec10.mubayi.ramsey-witness", "10.1", "checker", {"n": (int, 7)},
+@register("sec10.mubayi.ramsey-witness", "10.1", "checker", {"n": (int, 7, 1)},
           "red loose-triangle / blue clique witness search")
 def _ramsey(seed: int, n: int) -> dict:
     import itertools as _it
@@ -696,7 +697,7 @@ def _ramsey(seed: int, n: int) -> dict:
     return {"n": n, "verdict": verdict[0] if verdict else "lower-bound witness"}
 
 
-@register("sec10.bang-jensen.xy-paths", "10.2", "checker", {"n_max": (int, 6)},
+@register("sec10.bang-jensen.xy-paths", "10.2", "checker", {"n_max": (int, 6, 1)},
           "Hamiltonian (x,y)-paths in highly strong tournaments")
 def _xy(seed: int, n_max: int) -> dict:
     from .cycles import ham_path_xy
@@ -722,7 +723,7 @@ def _xy(seed: int, n_max: int) -> dict:
 
 
 @register("sec10.bang-jensen.path-mergeable", "10.2", "checker",
-          {"n": (int, 5)},
+          {"n": (int, 5, 2)},
           "path-mergeable recognition and Hamiltonicity")
 def _pm(seed: int, n: int) -> dict:
     import random as _r
@@ -752,7 +753,8 @@ def _pm(seed: int, n: int) -> dict:
 
 
 @register("sec10.markstrom.latin", "10.3", "scan",
-          {"n": (int, 4), "mode": (str, "exhaustive"), "budget": (int, 1000)},
+          {"n": (int, 4, 1), "mode": (str, "exhaustive", None),
+           "budget": (int, 1000, 1)},
           "Latin-square avoidance under the n-2 multiplicity cap")
 def _latin(seed: int, n: int, mode: str, budget: int) -> dict:
     from .designs import avoidance_scan
@@ -763,7 +765,7 @@ def _latin(seed: int, n: int, mode: str, budget: int) -> dict:
 
 
 @register("sec11.bang-jensen.alpha-beta", "11.1", "checker",
-          {"n_max": (int, 5), "k": (int, 1)},
+          {"n_max": (int, 5, 1), "k": (int, 1, 1)},
           "alpha_k = beta_k evidence and reversal-number identity")
 def _alpha_beta(seed: int, n_max: int, k: int) -> dict:
     from .generate import tournaments
@@ -790,7 +792,7 @@ def _alpha_beta(seed: int, n_max: int, k: int) -> dict:
 
 
 @register("sec11.families.katona", "11.2", "exact",
-          {"n": (int, 4), "k": (int, 2)},
+          {"n": (int, 4, 1), "k": (int, 2, 1)},
           "maximum k-intersecting families and antichain variants")
 def _katona(seed: int, n: int, k: int) -> dict:
     from .families import katona_bound, max_family, milner_bound
@@ -805,7 +807,7 @@ def _katona(seed: int, n: int, k: int) -> dict:
 
 
 @register("sec12.leader.sym-ramsey", "12", "exact",
-          {"n": (int, 3), "k": (int, 2), "r": (int, 2)},
+          {"n": (int, 3, 1), "k": (int, 2, 1), "r": (int, 2, 1)},
           "monochromatic copies of S_r in k-coloured S_n")
 def _sym(seed: int, n: int, k: int, r: int) -> dict:
     from .designs import sym_ramsey_check

@@ -2,9 +2,11 @@
 enumeration and scalar loops that the shipped fast paths must agree with."""
 
 import random
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial, gcd
 
+from combench.canon import canonical_form_digraph
 from combench.cycles import DisconnectedError
 from combench.graphs import Digraph, Graph, bits, grid_graph, is_connected
 from combench.perc import PercRule, percolate, threshold_rule
@@ -215,3 +217,59 @@ def _perm_class_size(n: int, part) -> int:
     for c in counts.values():
         size //= factorial(c)
     return size
+
+
+@lru_cache(maxsize=None)
+def tournaments_by_dedupe(n: int) -> tuple[Digraph, ...]:
+    """All tournaments on n vertices up to isomorphism: every beat-pattern of
+    every parent, deduped in one certificate dict."""
+    if n < 1:
+        return ()
+    if n == 1:
+        return (Digraph(1),)
+    found: dict[bytes, Digraph] = {}
+    for parent in tournaments_by_dedupe(n - 1):
+        for pattern in range(1 << (n - 1)):
+            rows = list(parent.out) + [pattern]
+            for v in range(n - 1):
+                if not pattern >> v & 1:
+                    rows[v] |= 1 << (n - 1)
+            child = Digraph.from_rows(n, rows)
+            cert = canonical_form_digraph(child).bytes
+            if cert not in found:
+                found[cert] = child
+    return tuple(d for _, d in sorted(found.items()))
+
+
+def labeled_regular_tournament_count(n: int) -> int:
+    """Count labeled regular tournaments by row-wise backtracking."""
+    if n % 2 == 0:
+        return 0
+    k = (n - 1) // 2
+    count = 0
+
+    def rec(v: int, outdeg: list[int]):
+        nonlocal count
+        if v == n:
+            count += 1
+            return
+        rem = n - 1 - v  # vertices after v
+        need = k - outdeg[v]
+        if need < 0 or need > rem:
+            return
+        for wins in combinations(range(v + 1, n), need):
+            win_set = set(wins)
+            new = list(outdeg)
+            new[v] = k
+            ok = True
+            for w in range(v + 1, n):
+                if w not in win_set:
+                    new[w] += 1
+                    if new[w] > k:
+                        ok = False
+                        break
+            if ok:
+                rec(v + 1, new)
+
+    rec(0, [0] * n)
+    return count

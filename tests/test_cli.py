@@ -92,6 +92,26 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert "sec8.mckay.half-cycles" in out
 
 
+def test_cli_run_int_params_at_zero_and_below(capsys):
+    """Every int parameter declares its minimum in the registry schema, and
+    0 and -1 either run or exit 2, never with a traceback."""
+    bad = []
+    for entry in registry.list_problems():
+        for name, (typ, _, minimum) in entry.params.items():
+            if typ is not int:
+                continue
+            if minimum is None:
+                bad.append((entry.id, name, "no minimum"))
+                continue
+            for value in (0, -1):
+                code = main(["run", "--id", entry.id,
+                             "--params", json.dumps({name: value})])
+                err = capsys.readouterr().err
+                if code != (0 if value >= minimum else 2):
+                    bad.append((entry.id, name, value, code, err))
+    assert bad == []
+
+
 def test_cli_run_payload(capsys):
     assert main(["run", "--id", "sec8.mckay.half-cycles",
                  "--params", '{"n": 8}']) == 0

@@ -10,13 +10,13 @@ from combench.generate import (GenSpec, Unsatisfiable, all_graphs,
                                all_graphs_cached, connected_cubic_graphs,
                                cubic_graphs_all, cyclically_4_edge_connected,
                                generate, graphs_upto, labeled_cubic_count,
-                               labeled_regular_tournament_count,
                                max_aut_3connected_cubic, regular_tournaments,
                                tournaments)
 from combench.graphs import (complete_graph, is_bipartite, is_connected,
                              moebius_kantor_graph, petersen_graph,
                              prism_graph, to_graph6)
-from oracles import polya_graph_count
+from oracles import (labeled_regular_tournament_count, polya_graph_count,
+                     tournaments_by_dedupe)
 
 KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -63,10 +63,12 @@ def test_generated_graphs_distinct_and_ordered():
         assert _digest(to_graph6(g) for g in generate(spec)) == digest
 
 
-def test_graph_certificate_catches_a_broken_canonical_order(monkeypatch):
-    """Split keys sorted in descending order put a minimum-degree vertex
-    last, so the degree filter drops children that would be accepted, and
-    the level certificate must fail."""
+def test_graph_certificate_catches_a_broken_canonical_order(fresh_tournaments,
+                                                            monkeypatch):
+    """Split keys sorted in descending order put a minimum-degree (or
+    minimum-score) vertex last, so the degree (or score) filter drops
+    children that would be accepted, and the level certificate must
+    fail."""
     from combench import canon
 
     source = inspect.getsource(canon._refine)
@@ -77,6 +79,8 @@ def test_graph_certificate_catches_a_broken_canonical_order(monkeypatch):
     monkeypatch.setattr(canon, "_refine", namespace["_refine"])
     with pytest.raises(RuntimeError, match="completeness certificate"):
         graphs_upto(5)
+    with pytest.raises(RuntimeError, match="completeness certificate"):
+        tournaments(5)
 
 
 def test_cubic_counts():
@@ -112,12 +116,59 @@ def test_all_cubic_graphs_are_cubic_and_deduped():
     assert len(certs) == len(gs)
 
 
-def test_tournament_counts():
-    assert [len(tournaments(n)) for n in range(1, 7)] == [1, 1, 2, 4, 12, 56]
+@pytest.fixture
+def fresh_tournaments():
+    """An empty tournament cache before and after the test, so catalogs
+    built under a patch do not outlive it."""
+    tournaments.cache_clear()
+    yield
+    tournaments.cache_clear()
+
+
+def test_tournament_counts(fresh_tournaments, monkeypatch):
+    from combench import generate as gen
+
+    forms = 0
+
+    def counted(d):
+        nonlocal forms
+        forms += 1
+        return canonical_form_digraph(d)
+
+    monkeypatch.setattr(gen, "canonical_form_digraph", counted)
+    assert [len(tournaments(n)) for n in range(1, 9)] == \
+        [1, 1, 2, 4, 12, 56, 456, 6880]
+    # score filter and orbits: 12,288 forms to n = 8, parents' own forms
+    # included, where the dedupe generator computes 62,422
+    assert forms <= 12288
+    monkeypatch.undo()
     for n in range(1, 7):
         total = sum(factorial(n) // canonical_form_digraph(t).aut_order
                     for t in tournaments(n))
         assert total == 2 ** (n * (n - 1) // 2)
+
+
+def test_tournaments_match_dedupe_oracle():
+    """Augmentation finds the classes the global-dict generator finds, in
+    the same certificate order (the representatives may differ)."""
+    for n in range(1, 9):
+        assert [canonical_form_digraph(t).bytes for t in tournaments(n)] == \
+            [canonical_form_digraph(t).bytes for t in tournaments_by_dedupe(n)]
+
+
+@pytest.mark.parametrize("catalog", ["graphs", "tournaments"])
+def test_incomplete_level_fails_its_certificate(catalog, fresh_tournaments,
+                                                monkeypatch):
+    """Dropping the all-ones candidate (the new vertex adjacent to, or
+    beating, every parent vertex: always canonical-last) loses a class."""
+    from combench import generate as gen
+
+    full = gen._candidates
+    monkeypatch.setattr(gen, "_candidates",
+                        lambda rows, flip: [m for m in full(rows, flip)
+                                            if m != (1 << len(rows)) - 1])
+    with pytest.raises(RuntimeError, match="completeness certificate"):
+        graphs_upto(5) if catalog == "graphs" else tournaments(5)
 
 
 def test_regular_tournament_counts():
@@ -126,7 +177,8 @@ def test_regular_tournament_counts():
     assert len(regular_tournaments(7)) == 3
     assert labeled_regular_tournament_count(3) == 2
     assert labeled_regular_tournament_count(5) == 24
-    for n in (3, 5):
+    assert labeled_regular_tournament_count(7) == 2640
+    for n in (3, 5, 7):
         total = sum(factorial(n) // canonical_form_digraph(t).aut_order
                     for t in regular_tournaments(n))
         assert total == labeled_regular_tournament_count(n)
