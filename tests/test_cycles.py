@@ -74,6 +74,59 @@ def test_cycle_enumerators_pinned_digest():
                              "200df0ec4d0e01ec461a1c51a8d96919")
 
 
+def _seeded_two_local_colourings():
+    """Fixed 2-local colourings of K_n: seeded 2-colourings, and seeded
+    vertex-split 3-colourings under a seeded relabelling."""
+    import random
+
+    for n in (5, 6, 7):
+        for seed in range(3):
+            rng = random.Random(1000 * n + seed)
+            yield n, {(u, v): rng.randrange(2)
+                      for u in range(n) for v in range(u + 1, n)}
+            split = rng.randrange(1, n)
+            label = list(range(n))
+            rng.shuffle(label)
+            colors = {}
+            for u in range(n):
+                for v in range(u + 1, n):
+                    a, b = sorted((label[u], label[v]))
+                    colors[(a, b)] = 0 if v < split else 1 if u >= split else 2
+            yield n, colors
+
+
+def test_cycle_search_callers_pinned_digest():
+    """Every output the pivot cycle search feeds beyond simple_cycles and
+    the mixed 2-factors, in order, against a digest recorded before the
+    searches were merged: Kelly decompositions, disjoint cycle pairs,
+    Hamilton cycles of connected cubic graphs, cycle counts, and
+    monochromatic cycle partitions."""
+    from combench.coloring import is_local_r_coloring, min_mono_cycle_partition
+    from combench.generate import (connected_cubic_graphs, regular_tournaments,
+                                   tournaments)
+    from combench.tournaments import disjoint_cycles, kelly_decomposition
+
+    h = hashlib.sha256()
+    for n in range(1, 8, 2):
+        for t in regular_tournaments(n):
+            h.update(repr(kelly_decomposition(t)).encode())
+    for n in range(1, 8):
+        for t in tournaments(n):
+            h.update(repr(disjoint_cycles(t, 2)).encode())
+    for n in range(4, 13, 2):
+        for g in connected_cubic_graphs(n):
+            h.update(repr((next(hamilton_cycles(g), None),
+                           count_ham_cycles(g))).encode())
+    for g in all_graphs_cached(6):
+        h.update(repr([count_cycles_of_length(g, k)
+                       for k in range(3, 7)]).encode())
+    for n, colors in _seeded_two_local_colourings():
+        assert is_local_r_coloring(n, colors, 2)
+        h.update(repr(min_mono_cycle_partition(n, colors)).encode())
+    assert h.hexdigest() == ("d243d1a13792328773176fe2dbe42eb3"
+                             "878f40a91febceb8865fab85cd732d9c")
+
+
 def test_ham_counts():
     assert count_ham_cycles(complete_graph(4)) == 3
     assert count_ham_cycles(cycle_graph(7)) == 1
