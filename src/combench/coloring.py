@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cycles import cycles_through
 from .graphs import Graph, bits
 from .structure import TooLargeError, clique_number
 
@@ -767,7 +768,9 @@ def min_mono_cycle_partition(n: int, edge_colors: dict):
         size = mask.bit_count()
         if size <= 2:
             return size <= 1 or _mono_edge(mask)
-        return any(_ham_in_rows(rows[c], mask) for c in palette)
+        pivot = (mask & -mask).bit_length() - 1
+        return any(next(cycles_through(rows[c], pivot, mask, size), None)
+                   for c in palette)
 
     def _mono_edge(mask: int) -> bool:
         u = (mask & -mask).bit_length() - 1
@@ -802,25 +805,6 @@ def min_mono_cycle_partition(n: int, edge_colors: dict):
 
     count, parts = f((1 << n) - 1)
     return count, list(parts)
-
-
-def _ham_in_rows(adj_rows, mask: int) -> bool:
-    """Hamilton cycle within mask using only the given adjacency rows."""
-    verts = list(bits(mask))
-    if len(verts) < 3:
-        return False
-    start = verts[0]
-    full = mask
-
-    def extend(v: int, used: int) -> bool:
-        if used == full:
-            return bool(adj_rows[v] >> start & 1)
-        for w in bits(adj_rows[v] & mask & ~used):
-            if extend(w, used | 1 << w):
-                return True
-        return False
-
-    return extend(start, 1 << start)
 
 
 def is_local_r_coloring(n: int, edge_colors: dict, r: int) -> bool:

@@ -1,10 +1,14 @@
 """Cycle counting, Hamilton-cycle parity checks, the lollipop walk, and
 cycle-space ranks over prime fields.
 
-Cycle enumeration conventions: a cycle is identified by its vertex set plus
-traversal; we canonicalize by starting at the least vertex and walking
-toward the smaller of its two cycle neighbors, which counts every cycle
-exactly once.
+Every cycle search in the package is ``cycles_through``, one depth-first
+search over bitset out-rows (a Graph's ``adj`` or a Digraph's ``out``).  It
+walks directed cycles and yields each as a vertex tuple starting at the
+pivot, in pre-order over ascending successors.  Symmetric rows give an
+undirected cycle once per direction, so undirected callers keep the
+traversal with ``c[1] < c[-1]``; rooting each cycle at its least vertex
+(other vertices above the pivot) lists it once, as in Johnson's
+elementary-circuit enumeration.
 """
 
 from __future__ import annotations
@@ -35,44 +39,44 @@ class NotThreeEdgeConnectedError(ValueError):
     pass
 
 
+def cycles_through(rows, pivot: int, avail: int, min_len: int = 3,
+                   max_len: int | None = None):
+    """Yield every simple cycle through ``pivot`` whose other vertices lie in
+    ``avail``, with ``min_len <= length <= max_len`` vertices, as a tuple
+    starting at ``pivot``, in depth-first pre-order over ascending
+    successors of the out-rows ``rows``."""
+    if max_len is None:
+        max_len = len(rows)
+    free = avail & ~(1 << pivot)
+    path = [pivot]
+    stack = [rows[pivot] & free]  # unexplored successors of each path vertex
+    while stack:
+        succ = stack[-1]
+        if not succ:
+            stack.pop()
+            free |= 1 << path.pop()
+            continue
+        low = succ & -succ
+        stack[-1] = succ ^ low
+        w = low.bit_length() - 1
+        path.append(w)
+        if len(path) >= min_len and rows[w] >> pivot & 1:
+            yield tuple(path)
+        if len(path) < max_len:
+            free ^= low
+            stack.append(rows[w] & free)
+        else:
+            path.pop()
+
+
 def count_cycles_of_length(g: Graph, length: int) -> int:
     """Exact number of simple cycles with ``length`` vertices."""
     if not 3 <= length <= g.n:
         raise ValueError("need 3 <= length <= n")
-    count = 0
-    adj = g.adj
-
-    def extend(start: int, v: int, used: int, depth: int, second: int):
-        nonlocal count
-        if depth == length:
-            if adj[v] >> start & 1 and second < v:
-                count += 1
-            return
-        for w in bits(adj[v] & ~used):
-            if w > start:
-                extend(start, w, used | 1 << w, depth + 1,
-                       w if depth == 1 else second)
-
-    for s in range(g.n):
-        extend(s, s, 1 << s, 1, -1)
-    return count
-
-
-def cycles_through(adj, pivot: int, avail: int):
-    """Yield every simple cycle (>= 3 vertices) through ``pivot`` whose other
-    vertices lie in ``avail`` above ``pivot``, once, as a vertex tuple
-    starting at ``pivot`` with the smaller neighbor second."""
-    avail &= -2 << pivot
-
-    def extend(path, free):
-        for w in bits(adj[path[-1]] & free):
-            path.append(w)
-            if len(path) >= 3 and adj[w] >> pivot & 1 and path[1] < w:
-                yield tuple(path)
-            yield from extend(path, free & ~(1 << w))
-            path.pop()
-
-    yield from extend([pivot], avail)
+    full = (1 << g.n) - 1
+    return sum(1 for s in range(g.n)
+               for _ in cycles_through(g.adj, s, full & -2 << s,
+                                       length, length)) // 2
 
 
 def simple_cycles(g: Graph):
@@ -80,7 +84,9 @@ def simple_cycles(g: Graph):
     least vertex with the smaller neighbor second."""
     full = (1 << g.n) - 1
     for s in range(g.n):
-        yield from cycles_through(g.adj, s, full)
+        for cyc in cycles_through(g.adj, s, full & -2 << s):
+            if cyc[1] < cyc[-1]:
+                yield cyc
 
 
 def hamilton_cycles(g: Graph):
@@ -88,21 +94,9 @@ def hamilton_cycles(g: Graph):
     n = g.n
     if n < 3:
         return
-    adj = g.adj
-    full = (1 << n) - 1
-
-    def extend(path, used):
-        v = path[-1]
-        if used == full:
-            if adj[v] & 1 and path[1] < v:
-                yield tuple(path)
-            return
-        for w in bits(adj[v] & ~used):
-            path.append(w)
-            yield from extend(path, used | 1 << w)
-            path.pop()
-
-    yield from extend([0], 1)
+    for cyc in cycles_through(g.adj, 0, (1 << n) - 1, n):
+        if cyc[1] < cyc[-1]:
+            yield cyc
 
 
 def count_ham_cycles(g: Graph) -> int:
@@ -231,7 +225,7 @@ def _edge_index(g: Graph) -> dict[tuple[int, int], int]:
     return {e: i for i, e in enumerate(g.edges())}
 
 
-def _cycle_vector(cyc, eidx, p: int):
+def _cycle_vector(cyc, eidx):
     """0/1 characteristic vector of the cycle's edge set.
 
     Both traversal orientations give the same indicator, so each cycle
@@ -282,6 +276,12 @@ class _RowReducer:
         return len(self.pivots)
 
 
+def _check_field(p: int) -> None:
+    """Reject a characteristic that names no field: p must be prime or 0."""
+    if p and (p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1))):
+        raise ValueError("p must be prime or 0")
+
+
 def cycle_space_dimension(g: Graph, p: int) -> int:
     """Rank over GF(p) (or Q for p=0) of the span of the characteristic
     vectors of all simple cycles.
@@ -292,14 +292,13 @@ def cycle_space_dimension(g: Graph, p: int) -> int:
     """
     if not is_connected(g):
         raise DisconnectedError("cycle space dimension defined for connected graphs")
-    if p and (p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1))):
-        raise ValueError("p must be prime or 0")
+    _check_field(p)
     eidx = _edge_index(g)
     m = len(eidx)
     bound = m - g.n + 1 if p == 2 else m
     red = _RowReducer(m, p)
     for cyc in simple_cycles(g):
-        red.add(_cycle_vector(cyc, eidx, p))
+        red.add(_cycle_vector(cyc, eidx))
         if red.rank >= bound:
             break
     return red.rank
@@ -337,6 +336,7 @@ def explicit_cycle_basis(g: Graph, p: int):
     whether the |E| cycles are independent over GF(p)."""
     from . import flows
 
+    _check_field(p)
     if p == 2:
         raise ValueError("the per-edge basis question concerns characteristic != 2")
     if flows.edge_connectivity(g) < 3:
@@ -349,7 +349,7 @@ def explicit_cycle_basis(g: Graph, p: int):
     red = _RowReducer(len(eidx), p)
     indep = 0
     for e, cyc in cycles.items():
-        if cyc is not None and red.add(_cycle_vector(cyc, eidx, p)):
+        if cyc is not None and red.add(_cycle_vector(cyc, eidx)):
             indep += 1
     return {"cycles": cycles, "independent_count": indep,
             "is_basis": indep == len(eidx)}

@@ -728,6 +728,7 @@ def _xy(seed: int, n_max: int) -> dict:
 def _pm(seed: int, n: int) -> dict:
     import random as _r
 
+    from .cycles import cycles_through
     from .graphs import Digraph, directed_cycle
     from .graphs import is_strongly_connected
     from .tournaments import cut_vertices, is_path_mergeable
@@ -744,10 +745,8 @@ def _pm(seed: int, n: int) -> dict:
                     d.add_arc(u, v)
         if (is_path_mergeable(d) and is_strongly_connected(d)
                 and not cut_vertices(d.underlying_graph())):
-            from .cycles import _reach_table
             full = (1 << n) - 1
-            ends = _reach_table(d, 0).get(full, 0)
-            if not any(d.has_arc(v, 0) for v in range(n) if ends >> v & 1):
+            if next(cycles_through(d.out, 0, full, n), None) is None:
                 consistent = False
     return {"n": n, "theorem_consistent": consistent}
 
@@ -775,7 +774,8 @@ def _alpha_beta(seed: int, n_max: int, k: int) -> dict:
     eq = ne = rev_ok = rev_checked = 0
     for n in range(2 * k + 1, n_max + 1):
         for t in tournaments(n):
-            if lambda_arc(t) >= k:
+            lam = lambda_arc(t)
+            if lam >= k:
                 a, _ = alpha_k(t, k)
                 b, _ = beta_k(t, k)
                 if a == b:
@@ -785,7 +785,7 @@ def _alpha_beta(seed: int, n_max: int, k: int) -> dict:
             rev_checked += 1
             ra = len(reversal_arc_strong(t, k).reversed_arcs)
             rd = len(reversal_deg(t, k).reversed_arcs)
-            if ra == max(k - lambda_arc(t), rd):
+            if ra == max(k - lam, rd):
                 rev_ok += 1
     return {"alpha_eq_beta": eq, "alpha_ne_beta": ne,
             "reversal_identity_ok": rev_ok, "reversal_checked": rev_checked}

@@ -128,27 +128,6 @@ def decompose_arc_disjoint_strong(d: Digraph, k: int) -> StrongDecomposition | N
 # Hamilton cycle decomposition of regular tournaments
 
 
-def directed_hamilton_cycles_through_arc(d: Digraph, arc, allowed_rows):
-    """Yield Hamilton cycles (vertex tuples starting at arc[0]) whose arcs all
-    lie in allowed_rows and which begin with the given arc."""
-    n = d.n
-    u0, v0 = arc
-    full = (1 << n) - 1
-
-    def extend(path, used):
-        v = path[-1]
-        if used == full:
-            if allowed_rows[v] >> u0 & 1:
-                yield tuple(path)
-            return
-        for w in bits(allowed_rows[v] & ~used):
-            path.append(w)
-            yield from extend(path, used | 1 << w)
-            path.pop()
-
-    yield from extend([u0, v0], 1 << u0 | 1 << v0)
-
-
 def kelly_decomposition(d: Digraph) -> list[tuple] | None:
     """Partition a regular tournament's arcs into (n-1)/2 Hamilton cycles."""
     n = d.n
@@ -158,6 +137,7 @@ def kelly_decomposition(d: Digraph) -> list[tuple] | None:
         raise NotRegularError("tournament must be regular (n odd)")
     if n == 1:
         return []
+    full = (1 << n) - 1
     remaining = list(d.out)
     result: list[tuple] = []
 
@@ -165,8 +145,9 @@ def kelly_decomposition(d: Digraph) -> list[tuple] | None:
         if all(r == 0 for r in remaining):
             return True
         u = next(v for v in range(n) if remaining[v])
-        v = (remaining[u] & -remaining[u]).bit_length() - 1
-        for cyc in directed_hamilton_cycles_through_arc(d, (u, v), remaining):
+        rows = list(remaining)
+        rows[u] &= -rows[u]  # force the least remaining arc out of u
+        for cyc in cycles_through(rows, u, full, n):
             for i in range(n):
                 a, b = cyc[i], cyc[(i + 1) % n]
                 remaining[a] &= ~(1 << b)
@@ -200,22 +181,6 @@ def verify_kelly(d: Digraph, cycles: list[tuple]) -> bool:
 # vertex-disjoint directed cycles
 
 
-def _cycles_through(d: Digraph, pivot: int, allowed: int, min_len: int):
-    """Simple directed cycles through pivot inside the allowed vertex mask."""
-
-    def extend(path, used):
-        v = path[-1]
-        if len(path) >= min_len and d.out[v] >> pivot & 1:
-            yield tuple(path)
-        for w in bits(d.out[v] & allowed & ~used):
-            if w > pivot:
-                path.append(w)
-                yield from extend(path, used | 1 << w)
-                path.pop()
-
-    yield from extend([pivot], 1 << pivot)
-
-
 def disjoint_cycles(d: Digraph, k: int) -> list[tuple] | None:
     """k vertex-disjoint directed cycles, or None after exhaustive search.
 
@@ -233,10 +198,8 @@ def disjoint_cycles(d: Digraph, k: int) -> list[tuple] | None:
         if avail.bit_count() < min_len * need:
             return None
         pivot = (avail & -avail).bit_length() - 1
-        for cyc in _cycles_through(d, pivot, avail, min_len):
-            mask = 0
-            for v in cyc:
-                mask |= 1 << v
+        for cyc in cycles_through(d.out, pivot, avail, min_len):
+            mask = sum(1 << v for v in cyc)
             acc.append(cyc)
             got = rec(avail & ~mask, need - 1, acc)
             if got is not None:
@@ -349,9 +312,7 @@ def reversal_deg(d: Digraph, k: int) -> ReversalResult:
     """Minimum arc set whose reversal gives min in- and out-degree >= k."""
     if d.n < 2 * k + 1:
         raise TooSmallError("need n >= 2k+1")
-    return _reversal_search(d, k, _deg_lower_bound,
-                            lambda t: _deg_lower_bound(t, k) == 0,
-                            "min-degree-k")
+    return _reversal_search(d, k, _deg_lower_bound, "min-degree-k")
 
 
 def reversal_arc_strong(d: Digraph, k: int) -> ReversalResult:
@@ -362,17 +323,17 @@ def reversal_arc_strong(d: Digraph, k: int) -> ReversalResult:
     def lb(t: Digraph, kk: int) -> int:
         return max(kk - flows.arc_strong_connectivity(t), _deg_lower_bound(t, kk), 0)
 
-    return _reversal_search(d, k, lb,
-                            lambda t: flows.arc_strong_connectivity(t) >= k,
-                            "k-arc-strong")
+    return _reversal_search(d, k, lb, "k-arc-strong")
 
 
-def _reversal_search(d: Digraph, k: int, lower_bound, target, tag: str) -> ReversalResult:
+def _reversal_search(d: Digraph, k: int, lower_bound, tag: str) -> ReversalResult:
+    """Fewest arc reversals that bring ``lower_bound(t, k)`` to 0; each
+    bound is 0 exactly on the digraphs that meet its target."""
     arcs = list(d.arcs())
 
     def dfs(t: Digraph, depth_left: int, start: int, chosen: list):
         lb = lower_bound(t, k)
-        if lb == 0 and target(t):
+        if lb == 0:
             return list(chosen)
         if lb > depth_left:
             return None
@@ -535,9 +496,9 @@ def _ug_two_factor(g: Graph, avail: int, memo) -> list | None:
         return memo[avail]
     pivot = (avail & -avail).bit_length() - 1
     for cyc in cycles_through(g.adj, pivot, avail):
-        mask = 0
-        for v in cyc:
-            mask |= 1 << v
+        if cyc[1] > cyc[-1]:
+            continue
+        mask = sum(1 << v for v in cyc)
         rest = _ug_two_factor(g, avail & ~mask, memo)
         if rest is not None:
             memo[avail] = [cyc] + rest
@@ -555,10 +516,8 @@ def two_factor_one_directed(d: Digraph) -> list | None:
     full = (1 << d.n) - 1
     memo: dict = {}
     for pivot in range(d.n):
-        for cyc in _cycles_through(d, pivot, full, 3):
-            mask = 0
-            for v in cyc:
-                mask |= 1 << v
+        for cyc in cycles_through(d.out, pivot, full & -2 << pivot):
+            mask = sum(1 << v for v in cyc)
             rest = _ug_two_factor(ug, full & ~mask, memo)
             if rest is not None:
                 return [cyc] + rest

@@ -157,6 +157,22 @@ def spanning_tree_dimension_oracle(g: Graph) -> int:
     return g.edge_count() - g.n + 1
 
 
+def directed_cycles_oracle(rows, pivot: int, avail: int, min_len: int,
+                           max_len: int) -> list[tuple]:
+    """Every simple directed cycle through pivot whose other vertices lie in
+    avail, with min_len..max_len vertices, as tuples starting at pivot, by
+    trying every ordering of every vertex subset."""
+    others = [v for v in bits(avail) if v != pivot]
+    found = []
+    for size in range(max(min_len, 2), max_len + 1):
+        for combo in combinations(others, size - 1):
+            for perm in permutations(combo):
+                seq = (pivot,) + perm
+                if all(rows[seq[i - 1]] >> seq[i] & 1 for i in range(size)):
+                    found.append(seq)
+    return found
+
+
 def random_avoid_entries(n: int, budget: int, seed: int):
     """The arrays of avoidance_scan's random mode as n x n entry lists,
     sampled by the scan's loop over plain lists."""

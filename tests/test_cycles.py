@@ -6,7 +6,8 @@ import pytest
 from combench.cycles import (DisconnectedError, EdgeAbsentError, LollipopTrace,
                              NotCubicError, count_cycles_of_length,
                              count_ham_cycles, count_ham_through_edge,
-                             cycle_space_dimension, explicit_cycle_basis,
+                             cycle_space_dimension, cycles_through,
+                             explicit_cycle_basis,
                              ham_cycle_edge_counts, ham_path_xy,
                              hamilton_cycles, lollipop_walk, longest_xy_path,
                              simple_cycles, smith_parity_check)
@@ -16,7 +17,8 @@ from combench.graphs import (complete_graph, cycle_graph, disjoint_union,
                              prism_graph, transitive_tournament)
 from combench.tournaments import two_factor_one_directed
 from conftest import random_graph, random_tournament
-from oracles import spanning_tree_dimension_oracle, tournaments_by_dedupe
+from oracles import (directed_cycles_oracle, spanning_tree_dimension_oracle,
+                     tournaments_by_dedupe)
 
 
 def brute_count_cycles(g, length):
@@ -51,6 +53,54 @@ def test_count_cycles_against_oracle(rng):
         g = random_graph(rng, n, 0.6)
         for length in range(3, n + 1):
             assert count_cycles_of_length(g, length) == brute_count_cycles(g, length)
+
+
+def _random_out_rows(rng, n, digons):
+    """Out-rows of a random digraph: every ordered pair independently, or an
+    orientation of a random graph when digons are not wanted."""
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if digons:
+                rows[u] |= (rng.random() < 0.5) << v
+                rows[v] |= (rng.random() < 0.5) << u
+            elif rng.random() < 0.7:
+                a, b = (u, v) if rng.random() < 0.5 else (v, u)
+                rows[a] |= 1 << b
+    return rows
+
+
+def test_cycles_through_directed_against_oracle(rng):
+    """On random digraphs with and without digons, the search lists exactly
+    the oracle's cycles, in lexicographic order (the pre-order of a search
+    over ascending successors), for min_len 2 and 3 and a max_len cap."""
+    for trial in range(40):
+        n = rng.randrange(2, 7)
+        rows = _random_out_rows(rng, n, digons=trial % 2 == 0)
+        avail = rng.randrange(1 << n) if trial % 4 < 2 else (1 << n) - 1
+        for pivot in range(n):
+            for min_len in (2, 3):
+                for max_len in (None, 3):
+                    got = list(cycles_through(rows, pivot, avail, min_len,
+                                              max_len))
+                    want = directed_cycles_oracle(rows, pivot, avail, min_len,
+                                                  max_len or n)
+                    assert got == sorted(want)
+
+
+def test_cycles_through_symmetric_rows_give_each_cycle_twice(rng):
+    for _ in range(10):
+        g = random_graph(rng, rng.randrange(3, 8), 0.6)
+        full = (1 << g.n) - 1
+        seen: dict = {}
+        for s in range(g.n):
+            for cyc in cycles_through(g.adj, s, full & -2 << s):
+                assert cyc[0] == min(cyc)
+                key = frozenset(_cycle_edge_set(cyc))
+                seen[key] = seen.get(key, 0) + 1
+        assert set(seen.values()) <= {2}
+        assert len(seen) == sum(brute_count_cycles(g, k)
+                                for k in range(3, g.n + 1))
 
 
 def test_simple_cycles_enumeration_unique():
@@ -229,6 +279,12 @@ def test_explicit_cycle_basis_reports():
 
     with pytest.raises(NotThreeEdgeConnectedError):
         explicit_cycle_basis(cycle_graph(5), 3)
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, -3])
+def test_explicit_cycle_basis_rejects_non_field(p):
+    with pytest.raises(ValueError, match="prime or 0"):
+        explicit_cycle_basis(complete_graph(5), p)
 
 
 def test_xy_paths():
