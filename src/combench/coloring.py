@@ -111,11 +111,18 @@ def chromatic_number(g: Graph) -> int:
 
 
 def k_edge_colorable(g: Graph, k: int, precol: dict | None = None):
-    """Proper k-edge-colouring as {edge: colour}, or None."""
+    """Proper k-edge-colouring as {edge: colour}, or None.
+
+    The edge with fewest available colours goes next.  Colours no edge uses
+    yet are interchangeable, so it tries its available colours already in
+    use and only the least unused one: a skipped branch is a colour swap of
+    a branch that failed, and the colouring found is the one the search
+    trying every colour finds."""
     edges = list(g.edges())
     used = [0] * g.n  # colour bitmask per vertex
     assign: dict = {}
     full = (1 << k) - 1
+    in_use = 0  # colours some edge has
     if precol:
         for (u, v), c in precol.items():
             e = (u, v) if u < v else (v, u)
@@ -126,10 +133,11 @@ def k_edge_colorable(g: Graph, k: int, precol: dict | None = None):
             used[u] |= 1 << c
             used[v] |= 1 << c
             assign[e] = c
+            in_use |= 1 << c
 
     todo = [e for e in edges if e not in assign]
 
-    def rec() -> bool:
+    def rec(in_use: int) -> bool:
         best, bavail, bcount = None, 0, k + 1
         for e in todo:
             if e in assign:
@@ -144,18 +152,19 @@ def k_edge_colorable(g: Graph, k: int, precol: dict | None = None):
         if best is None:
             return True
         u, v = best
-        for c in bits(bavail):
+        unused = full & ~in_use
+        for c in bits(bavail & (in_use | unused & -unused)):
             assign[best] = c
             used[u] |= 1 << c
             used[v] |= 1 << c
-            if rec():
+            if rec(in_use | 1 << c):
                 return True
             del assign[best]
             used[u] &= ~(1 << c)
             used[v] &= ~(1 << c)
         return False
 
-    return dict(assign) if rec() else None
+    return dict(assign) if rec(in_use) else None
 
 
 def edge_chromatic_class(g: Graph) -> tuple[int, int]:

@@ -9,16 +9,21 @@ Three engines:
   masks that give the new vertex maximum degree are tried (the filter of
   McKay's geng).  Each unconstrained level certifies its completeness:
   sum(k!/|Aut(G)|) over its classes must equal 2^C(k,2), else RuntimeError;
-* cubic graphs: levelwise edge insertion (subdivide two distinct edges, join
-  the new vertices).  Each parent inserts one unordered edge pair per orbit
-  of its automorphism group (the first pair of the orbit in edge-pair
-  order); pairs in one orbit give isomorphic children, so only those
-  children are canonicalized.  A cubic graph with no valid inverse
-  reduction has every component built from diamonds (K4 minus an edge)
-  whose degree-2 ports are wired to each other or to triangle-free degree-3
-  hubs; those irreducible graphs are enumerated directly and seeded into
-  their level.  Certificates dedupe each level, and each level certifies
-  its own completeness: sum(n!/|Aut(G)|) over its classes must equal
+* cubic graphs: canonical augmentation by edge insertion (subdivide two
+  distinct edges, join the new vertices u and v), with no dict of
+  certificates.  Each parent inserts one unordered edge pair per orbit of
+  its automorphism group, read off the form kept with its level.  An edge
+  is reducible when deleting its ends and re-joining each end's two other
+  neighbours gives a simple cubic graph, and uv always is.  A child is kept
+  iff uv lies in the canonical orbit of its reducible edges: those of
+  greatest (triangles, 4-cycles, 5-cycles) through them, an invariant that
+  rejects most children before any canonical form, then the greatest
+  canonical labels (see _canonical_insertion).  A cubic graph with no
+  reducible edge has every component built from diamonds (K4 minus an
+  edge) whose degree-2 ports are wired to each other or to triangle-free
+  degree-3 hubs; those irreducible graphs are enumerated directly, each
+  order once, and seeded into their level.  Each level certifies its own
+  completeness: sum(n!/|Aut(G)|) over its classes must equal
   labeled_cubic_count(n), else RuntimeError;
 * tournaments: the same augmentation loop over beat-patterns (the parent
   vertices the new vertex beats), with no dict of certificates: each class
@@ -36,12 +41,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
 
 from . import flows
-from .canon import canonical_form, canonical_form_digraph
-from .graphs import (Digraph, Graph, bits, complete_graph, disjoint_union,
+from .canon import CanonicalForm, canonical_form, canonical_form_digraph
+from .graphs import (Digraph, Graph, bits, component_masks, disjoint_union,
                      is_bipartite, is_connected)
 
 
@@ -60,6 +65,21 @@ def _apply_perm_mask(mask: int, perm) -> int:
     return out
 
 
+def _mask_orbit(mask: int, gens) -> set[int]:
+    """The orbit of ``mask`` under ``gens`` (permutations of bit
+    positions)."""
+    orbit = {mask}
+    frontier = [mask]
+    while frontier:
+        m = frontier.pop()
+        for g in gens:
+            img = _apply_perm_mask(m, g)
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    return orbit
+
+
 def _orbit_reps(masks, gens) -> list[int]:
     """The first mask of each orbit of ``gens`` (permutations of bit
     positions) among ``masks``, in the order given; ``masks`` must be closed
@@ -69,19 +89,9 @@ def _orbit_reps(masks, gens) -> list[int]:
     reps = []
     seen = set()
     for mask in masks:
-        if mask in seen:
-            continue
-        orbit = {mask}
-        frontier = [mask]
-        while frontier:
-            m = frontier.pop()
-            for g in gens:
-                img = _apply_perm_mask(m, g)
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        seen |= orbit
-        reps.append(mask)
+        if mask not in seen:
+            seen |= _mask_orbit(mask, gens)
+            reps.append(mask)
     return reps
 
 
@@ -209,11 +219,13 @@ def all_graphs_cached(n: int) -> tuple[Graph, ...]:
 
 
 # ---------------------------------------------------------------------------
-# cubic graphs by edge insertion
+# cubic graphs by canonical augmentation (edge insertion)
 
 
-def _diamond_hub_graphs(m: int) -> list[Graph]:
-    """Connected insertion-irreducible cubic graphs on m vertices.
+@lru_cache(maxsize=None)
+def _diamond_hub_graphs(m: int) -> tuple[Graph, ...]:
+    """Connected insertion-irreducible cubic graphs on m vertices, each
+    order built once per process.
 
     Every component of an insertion-irreducible cubic graph consists of
     diamonds (K4 minus an edge, ports = the two degree-2 vertices) whose
@@ -222,11 +234,12 @@ def _diamond_hub_graphs(m: int) -> list[Graph]:
     out = {}
     for d_cnt in range(1, m // 4 + 1):
         h_cnt = m - 4 * d_cnt
-        if h_cnt < 0 or 3 * h_cnt > 2 * d_cnt:
+        if 3 * h_cnt > 2 * d_cnt:
             continue
-        ports = [(i, p) for i in range(d_cnt) for p in range(2)]
-        slots = [("p", i, p) for i, p in ports] + \
-                [("h", j, s) for j in range(h_cnt) for s in range(3)]
+        # (kind, vertex, slot): port p of diamond i is vertex 4i + 2 + p
+        slots = [("p", 4 * i + 2 + p, 0) for i in range(d_cnt)
+                 for p in range(2)] + \
+                [("h", 4 * d_cnt + j, s) for j in range(h_cnt) for s in range(3)]
 
         def pairings(free):
             if not free:
@@ -235,125 +248,158 @@ def _diamond_hub_graphs(m: int) -> list[Graph]:
             first = free[0]
             for idx in range(1, len(free)):
                 other = free[idx]
-                if first[0] == "h" and other[0] == "h":
-                    continue  # hubs are triangle-free, so never adjacent
+                # hubs are triangle-free, so never adjacent; the slots of a
+                # hub, and the hubs, are interchangeable: fill them in order
+                if other[0] == "h" and (first[0] == "h" or (
+                        "h", other[1], other[2] - 1) in free or (
+                        "h", other[1] - 1, 0) in free):
+                    continue
                 rest = free[1:idx] + free[idx + 1:]
                 for tail in pairings(rest):
                     yield [(first, other)] + tail
 
         for matching in pairings(slots):
-            ok = True
             g = Graph(m)
-            for i in range(d_cnt):
-                a, b, c, d = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
-                for e in ((a, b), (a, c), (a, d), (b, c), (b, d)):
-                    g.add_edge(*e)
-
-            def slot_vertex(slot):
-                kind, i, p = slot
-                return 4 * i + 2 + p if kind == "p" else 4 * d_cnt + i
-
+            for i in range(0, 4 * d_cnt, 4):
+                for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)):
+                    g.add_edge(i + a, i + b)
             for s1, s2 in matching:
-                u, v = slot_vertex(s1), slot_vertex(s2)
-                if u == v or g.has_edge(u, v):
-                    ok = False
-                    break
-                if s1[0] == "h" and s2[0] == "h":
-                    ok = False
-                    break
-                g.add_edge(u, v)
-            if not ok or not is_connected(g):
-                continue
-            if any(g.adj[v].bit_count() != 3 for v in range(m)):
-                continue
-            cert = canonical_form(g).bytes
-            out.setdefault(cert, g)
-    return [g for _, g in sorted(out.items())]
-
-
-@lru_cache(maxsize=None)
-def _irreducible_catalog(max_n: int) -> tuple[tuple[int, Graph], ...]:
-    cat = []
-    for m in range(4, max_n + 1, 2):
-        for g in _diamond_hub_graphs(m):
-            cat.append((m, g))
-    return tuple(cat)
+                g.add_edge(s1[1], s2[1])
+            if is_connected(g):
+                out.setdefault(canonical_form(g).bytes, g)
+    return tuple(g for _, g in sorted(out.items()))
 
 
 def _irreducible_unions(n: int) -> list[Graph]:
-    """All graphs on n vertices whose every component is in the catalog."""
-    cat = _irreducible_catalog(n)
-    results = []
-
-    def rec(start: int, remaining: int, parts: list[Graph]):
-        if remaining == 0:
-            g = parts[0]
-            for extra in parts[1:]:
-                g = disjoint_union(g, extra)
-            results.append(g)
-            return
-        for idx in range(start, len(cat)):
-            m, comp = cat[idx]
-            if m <= remaining:
-                rec(idx, remaining - m, parts + [comp])
-
-    rec(0, n, [])
-    return results
+    """All graphs on n vertices whose every component is insertion-
+    irreducible (see _diamond_hub_graphs)."""
+    cat = [g for m in range(4, n + 1, 2) for g in _diamond_hub_graphs(m)]
+    return [reduce(disjoint_union, parts) for k in range(1, n // 4 + 1)
+            for parts in itertools.combinations_with_replacement(cat, k)
+            if sum(g.n for g in parts) == n]
 
 
 def _insert_edge_pair(g: Graph, e1, e2) -> Graph:
-    a, b = e1
-    c, d = e2
-    child = Graph(g.n + 2)
-    child.adj = list(g.adj) + [0, 0]
-    u, v = g.n, g.n + 1
-    child.adj[a] &= ~(1 << b)
-    child.adj[b] &= ~(1 << a)
-    child.adj[c] &= ~(1 << d)
-    child.adj[d] &= ~(1 << c)
-    for x, y in ((a, u), (u, b), (c, v), (v, d), (u, v)):
-        child.adj[x] |= 1 << y
-        child.adj[y] |= 1 << x
+    """g with the edges e1 and e2 subdivided by new vertices u = g.n and
+    v = g.n + 1, joined by the edge uv."""
+    u = g.n
+    child = Graph(u + 2)
+    child.adj = list(g.adj) + [1 << u + 1, 1 << u]
+    for w, (x, y) in ((u, e1), (u + 1, e2)):
+        child.adj[x] ^= 1 << y | 1 << w
+        child.adj[y] ^= 1 << x | 1 << w
+        child.adj[w] |= 1 << x | 1 << y
     return child
 
 
-@lru_cache(maxsize=None)
-def cubic_graphs_all(n: int) -> tuple[Graph, ...]:
-    """All cubic graphs (connected or not) on n vertices, up to isomorphism.
+def _edge_key(adj, x: int, y: int) -> int:
+    """An isomorphism-invariant key of the edge xy of a cubic graph, or -1
+    when xy is not reducible.
 
+    xy is reducible when deleting x and y and joining each one's two other
+    neighbours gives a simple cubic graph: x's other neighbours a, b are
+    non-adjacent, so are y's, c and d, and the two pairs differ.  The key
+    counts the triangles and then the 4-cycles through xy (at most 4)."""
+    px = adj[x] & ~(1 << y)
+    py = adj[y] & ~(1 << x)
+    a = px & -px
+    ra = adj[a.bit_length() - 1]
+    if px == py or ra & px or adj[(py & -py).bit_length() - 1] & py:
+        return -1
+    rb = adj[(px ^ a).bit_length() - 1]
+    return (px & py).bit_count() << 3 | (ra & py).bit_count() + \
+        (rb & py).bit_count()
+
+
+def _five_cycles(adj, x: int, y: int) -> int:
+    """The 5-cycles x-a-w-b-y through the edge xy of a graph."""
+    outside = ~(1 << x | 1 << y)
+    return sum((adj[a] & adj[b] & outside).bit_count()
+               for a in bits(adj[x] & outside)
+               for b in bits(adj[y] & outside) if a != b)
+
+
+def _canonical_insertion(child: Graph, others: list[tuple[int, int]]):
+    """The child's canonical form when its inserted edge (its last two
+    vertices) lies in the canonical orbit of its reducible edges, else None;
+    ``others`` lists the child's other edges.
+
+    The canonical edges are the reducible edges of greatest _edge_key, then
+    of most 5-cycles, and among those the edge whose sorted canonical labels
+    are greatest.  The two keys reject most children before any canonical
+    form is computed."""
+    adj = child.adj
+    u, v = child.n - 2, child.n - 1
+    ties = others
+    for key in (_edge_key, _five_cycles):
+        mine = key(adj, u, v)
+        kept = []
+        for x, y in ties:
+            k = key(adj, x, y)
+            if k > mine:
+                return None
+            if k == mine:
+                kept.append((x, y))
+        ties = kept
+    cf = canonical_form(child)
+    lab = cf.labeling
+    x, y = max(ties + [(u, v)],
+               key=lambda e: sorted((lab[e[0]], lab[e[1]]), reverse=True))
+    if 1 << u | 1 << v in _mask_orbit(1 << x | 1 << y, cf.generators):
+        return cf
+    return None
+
+
+@lru_cache(maxsize=None)
+def _cubic_level(n: int) -> tuple[tuple[Graph, CanonicalForm], ...]:
+    """cubic_graphs_all(n), each graph with its canonical form, built by
+    canonical augmentation from the level n - 2.
+
+    Each parent inserts one unordered edge pair per orbit of its
+    automorphism group (subdivide both edges, join the two new vertices u
+    and v); the child is kept iff uv lies in its canonical orbit of
+    reducible edges (see _canonical_insertion), so each class with a
+    reducible edge comes from exactly one parent and one orbit (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  The
+    classes without one are the irreducible unions, seeded directly.
     Raises RuntimeError if the level fails its completeness certificate
     sum(n!/|Aut G|) == labeled_cubic_count(n)."""
     if n < 4 or n % 2:
         return ()
-    if n == 4:
-        return (complete_graph(4),)
-    found: dict[bytes, tuple[Graph, int]] = {}
-
-    def keep(g: Graph):
-        cf = canonical_form(g)
-        if cf.bytes not in found:
-            found[cf.bytes] = (g, cf.aut_order)
-
-    for parent in cubic_graphs_all(n - 2):
+    out = [(g, canonical_form(g)) for g in _irreducible_unions(n)]
+    for parent, form in _cubic_level(n - 2):
         edges = list(parent.edges())
         index = {e: i for i, e in enumerate(edges)}
         # automorphisms of the parent, acting on edge indices
         gens = [[index[min(g[a], g[b]), max(g[a], g[b])] for a, b in edges]
-                for g in canonical_form(parent).generators]
+                for g in form.generators]
         pairs = [1 << i | 1 << j
                  for i, j in itertools.combinations(range(len(edges)), 2)]
         for mask in _orbit_reps(pairs, gens):
             e1 = edges[(mask & -mask).bit_length() - 1]
             e2 = edges[mask.bit_length() - 1]
-            keep(_insert_edge_pair(parent, e1, e2))
-    for g in _irreducible_unions(n):
-        keep(g)
-    labeled = sum(factorial(n) // aut for _, aut in found.values())
+            child = _insert_edge_pair(parent, e1, e2)
+            (a, b), (c, d) = e1, e2
+            cf = _canonical_insertion(
+                child, [e for e in edges if e != e1 and e != e2]
+                + [(a, n - 2), (b, n - 2), (c, n - 1), (d, n - 1)])
+            if cf is not None:
+                out.append((child, cf))
+    labeled = sum(factorial(n) // cf.aut_order for _, cf in out)
     if labeled != labeled_cubic_count(n):
         raise RuntimeError(f"cubic graphs on {n} vertices fail the completeness "
                            f"certificate: {labeled} labelled graphs, expected "
                            f"{labeled_cubic_count(n)}")
-    return tuple(g for _, (g, _) in sorted(found.items()))
+    out.sort(key=lambda t: t[1].bytes)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def cubic_graphs_all(n: int) -> tuple[Graph, ...]:
+    """All cubic graphs (connected or not) on n vertices, up to isomorphism,
+    sorted by certificate; each level is certified complete (see
+    _cubic_level)."""
+    return tuple(g for g, _ in _cubic_level(n))
 
 
 @lru_cache(maxsize=None)
@@ -404,23 +450,12 @@ def cyclically_4_edge_connected(g: Graph) -> bool:
             for u, v in cut:
                 h.adj[u] &= ~(1 << v)
                 h.adj[v] &= ~(1 << u)
-            comps = _component_vertex_lists(h)
-            if len(comps) < 2:
-                continue
-            cyclic = 0
-            for comp in comps:
-                mask = sum(1 << v for v in comp)
-                e_in = sum((h.adj[v] & mask).bit_count() for v in comp) // 2
-                if e_in >= len(comp):
-                    cyclic += 1
+            # a component with as many edges as vertices has a cycle
+            cyclic = sum(sum((h.adj[v] & m).bit_count() for v in bits(m))
+                         >= 2 * m.bit_count() for m in component_masks(h))
             if cyclic >= 2:
                 return False
     return True
-
-
-def _component_vertex_lists(g: Graph) -> list[list[int]]:
-    from .graphs import component_masks
-    return [list(bits(m)) for m in component_masks(g)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial, gcd
 
-from combench.canon import canonical_form_digraph
+from combench.canon import canonical_form, canonical_form_digraph
 from combench.cycles import DisconnectedError
-from combench.graphs import Digraph, Graph, bits, grid_graph, is_connected
+from combench.generate import (_insert_edge_pair, _irreducible_unions,
+                               _orbit_reps, labeled_cubic_count)
+from combench.graphs import (Digraph, Graph, bits, complete_graph, grid_graph,
+                             is_connected)
 from combench.perc import PercRule, percolate, threshold_rule
 from combench.structure import edges_inside, max_clique
 
@@ -255,6 +258,101 @@ def tournaments_by_dedupe(n: int) -> tuple[Digraph, ...]:
             if cert not in found:
                 found[cert] = child
     return tuple(d for _, d in sorted(found.items()))
+
+
+@lru_cache(maxsize=None)
+def cubic_by_dedupe(n: int) -> tuple[Graph, ...]:
+    """All cubic graphs (connected or not) on n vertices, up to isomorphism:
+    every child of one edge pair per orbit of each parent, plus the
+    irreducible unions, deduped in one certificate dict per level.
+
+    Raises RuntimeError if the level fails its completeness certificate
+    sum(n!/|Aut G|) == labeled_cubic_count(n)."""
+    if n < 4 or n % 2:
+        return ()
+    if n == 4:
+        return (complete_graph(4),)
+    found: dict[bytes, tuple[Graph, int]] = {}
+
+    def keep(g: Graph):
+        cf = canonical_form(g)
+        if cf.bytes not in found:
+            found[cf.bytes] = (g, cf.aut_order)
+
+    for parent in cubic_by_dedupe(n - 2):
+        edges = list(parent.edges())
+        index = {e: i for i, e in enumerate(edges)}
+        # automorphisms of the parent, acting on edge indices
+        gens = [[index[min(g[a], g[b]), max(g[a], g[b])] for a, b in edges]
+                for g in canonical_form(parent).generators]
+        pairs = [1 << i | 1 << j
+                 for i, j in combinations(range(len(edges)), 2)]
+        for mask in _orbit_reps(pairs, gens):
+            e1 = edges[(mask & -mask).bit_length() - 1]
+            e2 = edges[mask.bit_length() - 1]
+            keep(_insert_edge_pair(parent, e1, e2))
+    for g in _irreducible_unions(n):
+        keep(g)
+    labeled = sum(factorial(n) // aut for _, aut in found.values())
+    if labeled != labeled_cubic_count(n):
+        raise RuntimeError(f"cubic graphs on {n} vertices fail the completeness "
+                           f"certificate: {labeled} labelled graphs, expected "
+                           f"{labeled_cubic_count(n)}")
+    return tuple(g for _, (g, _) in sorted(found.items()))
+
+
+def connected_cubic_by_dedupe(n: int) -> tuple[Graph, ...]:
+    return tuple(g for g in cubic_by_dedupe(n) if is_connected(g))
+
+
+def k_edge_colorable_plain(g: Graph, k: int, precol: dict | None = None):
+    """Proper k-edge-colouring as {edge: colour}, or None: the shipped
+    search (fewest available colours first) with every available colour
+    tried at every edge, so no colour symmetry is broken."""
+    edges = list(g.edges())
+    used = [0] * g.n  # colour bitmask per vertex
+    assign: dict = {}
+    full = (1 << k) - 1
+    if precol:
+        for (u, v), c in precol.items():
+            e = (u, v) if u < v else (v, u)
+            if not g.has_edge(*e) or c >= k:
+                return None
+            if (used[u] | used[v]) >> c & 1:
+                return None
+            used[u] |= 1 << c
+            used[v] |= 1 << c
+            assign[e] = c
+
+    todo = [e for e in edges if e not in assign]
+
+    def rec() -> bool:
+        best, bavail, bcount = None, 0, k + 1
+        for e in todo:
+            if e in assign:
+                continue
+            u, v = e
+            avail = ~(used[u] | used[v]) & full
+            c = avail.bit_count()
+            if c == 0:
+                return False
+            if c < bcount:
+                best, bavail, bcount = e, avail, c
+        if best is None:
+            return True
+        u, v = best
+        for c in bits(bavail):
+            assign[best] = c
+            used[u] |= 1 << c
+            used[v] |= 1 << c
+            if rec():
+                return True
+            del assign[best]
+            used[u] &= ~(1 << c)
+            used[v] &= ~(1 << c)
+        return False
+
+    return dict(assign) if rec() else None
 
 
 def labeled_regular_tournament_count(n: int) -> int:

@@ -119,7 +119,7 @@ def test_cli_run_payload(capsys):
     assert payload["max"] == 6
 
 
-def test_cli_verbs(capsys):
+def test_cli_verbs(capsys, monkeypatch):
     assert main(["color", "shift", "--n", "5", "--r", "2",
                  "--pattern", "XOXO"]) == 0
     assert json.loads(capsys.readouterr().out)["chi"] == 3
@@ -141,6 +141,12 @@ def test_cli_verbs(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2  # two connected cubic graphs on six vertices
 
+    # the lines pin labelled representatives: those of the dedupe generator
+    from combench import generate
+    from oracles import connected_cubic_by_dedupe
+
+    monkeypatch.setattr(generate, "connected_cubic_graphs",
+                        connected_cubic_by_dedupe)
     assert main(["cycles", "smith", "--n", "8"]) == 0
     assert capsys.readouterr().out == (
         "8,GBqkbC,0\n8,GJQkcS,0\n8,G}?HWw,0\n8,GLQkQc,0\n8,GFQkRC,0\n")
@@ -149,6 +155,7 @@ def test_cli_verbs(capsys):
         "8,GBqkbC,3\n8,GJQkcS,6\n8,G}?HWw,5\n8,GLQkQc,2\n8,GFQkRC,1\n")
     assert main(["cycles", "lollipop", "--n", "8", "--profile"]) == 0
     assert capsys.readouterr().out == "8,GLQkQc,2\n8,GFQkRC,1\n"
+    monkeypatch.undo()
 
     assert main(["perc", "--sizes", "32", "--trials", "40"]) == 0
     out = capsys.readouterr().out

@@ -24,6 +24,7 @@ from combench.graphs import (Graph, Hypergraph, complete_graph, cycle_graph,
                              petersen_graph, star_graph)
 from combench.structure import biclique_number
 from conftest import random_graph
+from oracles import k_edge_colorable_plain
 
 
 def brute_chromatic(g):
@@ -65,6 +66,29 @@ def test_edge_coloring_proper(rng):
             for e2 in col:
                 if e1 != e2 and set(e1) & set(e2):
                     assert col[e1] != col[e2]
+
+
+def test_edge_colouring_matches_plain_search():
+    """Trying only the least unused colour returns exactly the colouring the
+    search over every colour returns, on every graph with n <= 6 at
+    k = Delta and Delta + 1, and with precoloured edges."""
+    from combench.generate import all_graphs_cached
+
+    for n in range(1, 7):
+        for g in all_graphs_cached(n):
+            delta = max(a.bit_count() for a in g.adj)
+            for k in (delta, delta + 1):
+                assert k_edge_colorable(g, k) == k_edge_colorable_plain(g, k)
+    # precoloured colours count as in use, so they are offered too
+    g = petersen_graph()
+    for precol in ({(0, 1): 3}, {(0, 1): 3, (2, 3): 1}, {(0, 1): 0, (1, 2): 0}):
+        for k in (3, 4, 5):
+            assert k_edge_colorable(g, k, precol) == \
+                k_edge_colorable_plain(g, k, precol)
+    star = star_graph(4)
+    precol = {e: c for e, c in zip(star.edges(), (2, 0))}
+    assert k_edge_colorable(star, 4, precol) == \
+        k_edge_colorable_plain(star, 4, precol)
 
 
 def test_overfull():

@@ -17,8 +17,8 @@ from combench.graphs import (complete_graph, cycle_graph, disjoint_union,
                              prism_graph, transitive_tournament)
 from combench.tournaments import two_factor_one_directed
 from conftest import random_graph, random_tournament
-from oracles import (directed_cycles_oracle, spanning_tree_dimension_oracle,
-                     tournaments_by_dedupe)
+from oracles import (connected_cubic_by_dedupe, directed_cycles_oracle,
+                     spanning_tree_dimension_oracle, tournaments_by_dedupe)
 
 
 def brute_count_cycles(g, length):
@@ -149,11 +149,10 @@ def test_cycle_search_callers_pinned_digest():
     """Every output the pivot cycle search feeds beyond simple_cycles and
     the mixed 2-factors, in order, against a digest recorded before the
     searches were merged: Kelly decompositions, disjoint cycle pairs,
-    Hamilton cycles of connected cubic graphs, cycle counts, and
-    monochromatic cycle partitions."""
+    Hamilton cycles of connected cubic graphs (the dedupe generator's
+    representatives), cycle counts, and monochromatic cycle partitions."""
     from combench.coloring import is_local_r_coloring, min_mono_cycle_partition
-    from combench.generate import (connected_cubic_graphs, regular_tournaments,
-                                   tournaments)
+    from combench.generate import regular_tournaments, tournaments
     from combench.tournaments import disjoint_cycles, kelly_decomposition
 
     h = hashlib.sha256()
@@ -164,7 +163,7 @@ def test_cycle_search_callers_pinned_digest():
         for t in tournaments(n):
             h.update(repr(disjoint_cycles(t, 2)).encode())
     for n in range(4, 13, 2):
-        for g in connected_cubic_graphs(n):
+        for g in connected_cubic_by_dedupe(n):
             h.update(repr((next(hamilton_cycles(g), None),
                            count_ham_cycles(g))).encode())
     for g in all_graphs_cached(6):

@@ -15,8 +15,8 @@ from combench.generate import (GenSpec, Unsatisfiable, all_graphs,
 from combench.graphs import (complete_graph, is_bipartite, is_connected,
                              moebius_kantor_graph, petersen_graph,
                              prism_graph, to_graph6)
-from oracles import (labeled_regular_tournament_count, polya_graph_count,
-                     tournaments_by_dedupe)
+from oracles import (cubic_by_dedupe, labeled_regular_tournament_count,
+                     polya_graph_count, tournaments_by_dedupe)
 
 KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -106,6 +106,62 @@ def test_cubic_generation_against_degree_constrained_oracle():
                   if all(g.adj[v].bit_count() == 3 for v in range(n))}
         mine = {certificate(g) for g in cubic_graphs_all(n)}
         assert oracle == mine
+
+
+@pytest.fixture
+def fresh_cubic():
+    """Empty cubic caches before and after the test, so the test counts
+    every form from cold and catalogs built under a patch do not outlive
+    it."""
+    from combench import generate as gen
+
+    caches = (gen.cubic_graphs_all, gen.connected_cubic_graphs,
+              gen._cubic_level, gen._diamond_hub_graphs)
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+def test_cubic_forms(fresh_cubic, monkeypatch):
+    from combench import generate as gen
+
+    forms = 0
+
+    def counted(g, colors=None):
+        nonlocal forms
+        forms += 1
+        return canonical_form(g, colors)
+
+    monkeypatch.setattr(gen, "canonical_form", counted)
+    assert [len(cubic_graphs_all(n)) for n in range(4, 15, 2)] == \
+        [1, 2, 6, 21, 94, 540]
+    # edge keys and kept parent forms: 908 forms to n = 14, the irreducible
+    # roots included, where the dedupe generator computes 6,543
+    assert forms <= 908
+
+
+def test_cubic_graphs_match_dedupe_oracle():
+    """Augmentation finds the classes the certificate-dict generator finds,
+    in the same certificate order (the representatives may differ)."""
+    for n in range(4, 15, 2):
+        assert [certificate(g) for g in cubic_graphs_all(n)] == \
+            [certificate(g) for g in cubic_by_dedupe(n)]
+
+
+@pytest.mark.parametrize("name, key", [("_edge_key", lambda adj, x, y: 0),
+                                       ("_five_cycles", lambda adj, x, y: x)])
+def test_broken_cubic_rule_fails_its_certificate(name, key, fresh_cubic,
+                                                 monkeypatch):
+    """A key that calls every edge reducible can make an irreducible edge
+    canonical, which loses classes; a key that reads the labels is not an
+    invariant, which keeps some classes twice."""
+    from combench import generate as gen
+
+    monkeypatch.setattr(gen, name, key)
+    with pytest.raises(RuntimeError, match="completeness certificate"):
+        cubic_graphs_all(10)
 
 
 def test_all_cubic_graphs_are_cubic_and_deduped():

@@ -41,6 +41,37 @@ def test_known_payload_values():
     assert rep.payload["best_mad"] == "3" and rep.payload["witness"] == "EElw"
 
 
+def _connected_cubic(g6: str, n: int):
+    from combench.graphs import from_graph6, is_connected
+
+    g = from_graph6(g6)
+    assert g.n == n and is_connected(g), g6
+    assert all(row.bit_count() == 3 for row in g.adj), g6
+    return g
+
+
+def test_cubic_witnesses_hold_what_the_payload_claims():
+    """Each witness is a connected cubic graph with the claimed count: the
+    half-cycle maxima to n = 12, and the lollipop walk maximum of a
+    cyclically 4-edge-connected graph (whose steps follow its labels)."""
+    from combench.cycles import count_cycles_of_length, lollipop_max_steps
+    from combench.generate import cyclically_4_edge_connected
+
+    for n in range(4, 13, 2):
+        rep = registry.run("sec8.mckay.half-cycles", {"n": n}).payload
+        assert rep["witnesses"] and len(rep["witnesses"]) == min(
+            rep["witness_count"], 4)
+        for g6 in rep["witnesses"]:
+            g = _connected_cubic(g6, n)
+            assert (count_cycles_of_length(g, n // 2) if n >= 6 else 0) == \
+                rep["max"], g6
+    for n in (8, 10):
+        rep = registry.run("sec5.thomassen.lollipop", {"n": n}).payload
+        g = _connected_cubic(rep["witness"], n)
+        assert cyclically_4_edge_connected(g)
+        assert lollipop_max_steps(g) == rep["max_steps"]
+
+
 def test_checker_entries_report_zero_failures():
     for pid, field in [
         ("sec2.bjy.k2-decomp", "failures"),
