@@ -7,7 +7,16 @@ The avoidance scan answers most arrays without a search: witness squares
 found earlier are kept as bitmasks, and one AND per witness shows whether it
 avoids the next array.  Random mode draws its arrays from one seeded stream
 in a fixed order of ``shuffle`` and ``randrange`` calls, so a seed's arrays,
-``checked`` count and verdict do not depend on the pool."""
+``checked`` count and verdict do not depend on the pool.
+
+Those calls are inlined as the ``getrandbits`` draws that CPython's
+``random`` makes for them: ``_randbelow(m)`` draws ``m.bit_length()`` bits
+until the value is below m, and ``shuffle`` swaps position i with
+``_randbelow(i + 1)`` for i from the last position down to 1.  That draw
+sequence is an implementation detail of CPython (its
+``_randbelow_with_getrandbits``), not part of the documented API, so a
+seed's arrays hold for CPython only; a test compares the inlined draws with
+the stdlib's."""
 
 from __future__ import annotations
 
@@ -153,20 +162,32 @@ def _class_masks(n: int):
 
 def _random_masks(n: int, budget: int, seed: int):
     """Masks of ``budget`` capped arrays from one seeded stream: shuffle the
-    cells, then give each symbol in turn the next randrange(cap + 1) cells."""
-    rng = random.Random(seed)
+    cells, then give each symbol in turn the next randrange(cap + 1) cells.
+    Both calls are inlined as CPython's own draws (module docstring)."""
+    getrandbits = random.Random(seed).getrandbits
     cap = max(n - 2, 0)
+    cells = n * n
+    # shuffle's swaps: position i with j = _randbelow(i + 1), i descending
+    swaps = [(i, (i + 1).bit_length()) for i in range(cells - 1, 0, -1)]
+    count_bits = (cap + 1).bit_length()
+    # each cell as its bit offset cell * n; a symbol adds s - 1
+    offsets = [cell * n for cell in range(cells)]
     for _ in range(budget):
-        free = list(range(n * n))
-        rng.shuffle(free)
+        free = offsets[:]
+        for i, k in swaps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            free[i], free[j] = free[j], free[i]
         pos = 0
         mask = 0
-        for s in range(1, n + 1):
-            cnt = rng.randrange(cap + 1)
-            for _ in range(cnt):
-                if pos < len(free):
-                    mask |= 1 << (free[pos] * n + s - 1)
-                    pos += 1
+        for s in range(n):
+            cnt = getrandbits(count_bits)
+            while cnt > cap:
+                cnt = getrandbits(count_bits)
+            for off in free[pos:pos + cnt]:
+                mask |= 1 << off + s
+            pos = min(pos + cnt, cells)
         yield mask
 
 
@@ -425,8 +446,11 @@ def pair_condition_check(t3: ThreeTournament) -> bool:
 # magic matrices (equal row and column sums) and Ehrhart reciprocity
 
 
+@lru_cache(maxsize=None)
 def count_magic(n: int, k: int) -> int:
-    """|M(n,k)|: n x n nonnegative integer matrices, all line sums k."""
+    """|M(n,k)|: n x n nonnegative integer matrices, all line sums k.
+    Cached by (n, k): ``positive_fraction`` and ``ehrhart_check`` ask for
+    the same counts many times."""
     if n > 4:
         raise TooLargeError("column-state DP sized for n <= 4")
     if k < 0:

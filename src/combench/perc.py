@@ -15,6 +15,16 @@ returns the same 2k words with the first one least significant.  So one
 ``random() < p`` holds exactly when the 53-bit integer from that lane is
 below ``ceil(p * 2**53)``; the comparison is exact because ``p * 2**53``
 is.  The rng is left in the state the scalar loop leaves it in.
+
+The comparison itself is mostly one byte lookup.  Big-endian, the lane's
+bytes are b's four then a's four, so byte 4 of each lane is a's top byte,
+which is also the top byte of the 53-bit integer x = (a >> 5) << 26 | b >> 6.
+A 256-byte table built once per p maps that byte to ``1`` (infected) when
+it is below ``T >> 45``, the top byte of T = ceil(p * 2**53), and to ``0``
+(clear) when it is above, since then x < T or x >= T whatever the other 45
+bits are.  A byte equal to ``T >> 45`` (about one cell in 256) ties, and
+that cell alone is decided exactly, as ``x < T`` on its whole lane.  At
+p = 1, T >> 45 is 256, which no byte equals, so every cell is infected.
 """
 
 from __future__ import annotations
@@ -67,15 +77,6 @@ def percolate(g: Graph, rule: PercRule, infected: int):
 # packed-grid engine
 
 
-def _lanes(value: int, count: int) -> int:
-    """``count`` copies of a 64-bit value, one per 64-bit lane."""
-    return int.from_bytes(value.to_bytes(8, "little") * count, "little")
-
-
-# byte value -> ASCII digit of its bit 5 (bit 53 of the lane holding it)
-_BIT53_DIGIT = bytes(48 + (v >> 5 & 1) for v in range(256))
-
-
 class GridFamily:
     """n x n square grid with the padded-bitboard fast path."""
 
@@ -87,11 +88,9 @@ class GridFamily:
             for c in range(n):
                 interior |= 1 << ((r + 1) * self.w + (c + 1))
         self.mask = interior
-        cells = n * n
-        self._lane_hi = _lanes(((1 << 27) - 1) << 26, cells)
-        self._lane_lo = _lanes((1 << 26) - 1, cells)
-        self._lane_p = None
-        self._lane_c = 0
+        self._table_p = None
+        self._table = b""
+        self._t = 0
 
     def seed_mask(self, rng: random.Random, p: float) -> int:
         """Padded bitboard of the cells with ``rng.random() < p``, drawn in
@@ -99,19 +98,27 @@ class GridFamily:
         if not 0 <= p <= 1:
             raise ValueError(f"need p in [0,1], not {p}")
         cells = self.n * self.n
-        if p != self._lane_p:
-            # T = ceil(p * 2^53) <= 2^53, so 2^53 - 1 + T < 2^54 fits a lane
-            self._lane_c = _lanes((1 << 53) - 1 + math.ceil(p * 2.0 ** 53),
-                                  cells)
-            self._lane_p = p
-        draws = rng.getrandbits(64 * cells)
-        # lane = b<<32 | a; x = (a>>5)<<26 | b>>6 is random() scaled by 2^53
-        x = draws << 21 & self._lane_hi | draws >> 38 & self._lane_lo
-        # bit 53 of lane_c - x is set exactly when x < T.  Big-endian, it
-        # lies in byte 1 of each lane and the last cell comes first: the
-        # order in which int(..., 2) reads the bitboard's digits
-        flags = (self._lane_c - x).to_bytes(8 * cells, "big")[1::8]
-        digits = flags.translate(_BIT53_DIGIT)
+        if p != self._table_p:
+            t = math.ceil(p * 2.0 ** 53)
+            top = t >> 45
+            # "2" marks the tie byte, decided per cell below
+            self._table = bytes(49 if v < top else 48 if v > top else 50
+                                for v in range(256))
+            self._t = t
+            self._table_p = p
+        # big-endian the last cell comes first: the order in which
+        # int(..., 2) reads the bitboard's digits
+        raw = rng.getrandbits(64 * cells).to_bytes(8 * cells, "big")
+        digits = raw[4::8].translate(self._table)
+        tie = digits.find(b"2")
+        if tie >= 0:
+            digits = bytearray(digits)
+            t = self._t
+            while tie >= 0:
+                lane = int.from_bytes(raw[8 * tie:8 * tie + 8], "big")
+                x = (lane & 0xFFFFFFFF) >> 5 << 26 | lane >> 38
+                digits[tie] = 49 if x < t else 48
+                tie = digits.find(b"2", tie + 1)
         n = self.n
         # rows meet over two guard columns; the last guard column and the
         # guard row fill the w + 1 least significant bits
@@ -119,21 +126,20 @@ class GridFamily:
                    + b"0" * (self.w + 1), 2)
 
     def _closure2(self, cur: int) -> int:
-        """Packed closure under the 2-neighbour rule."""
+        """Packed closure under the 2-neighbour rule of a seed inside
+        ``self.mask``.  No round masks its result: a cell outside the
+        interior (guard ring or beyond) has at most one interior neighbour,
+        so it never gets the two infected neighbours it would need."""
         w = self.w
-        mask = self.mask
         while True:
             up = cur >> w
             down = cur << w
             left = cur >> 1
             right = cur << 1
-            # at least 2 of 4 neighbours infected, via half adders
-            s1 = up ^ down
-            c1 = up & down
-            s2 = left ^ right
-            c2 = left & right
-            ge2 = c1 | c2 | (s1 & s2)
-            new = cur | (ge2 & mask & ~cur)
+            # at least 2 of 4 neighbours: both vertical, both horizontal,
+            # or one of each
+            new = (cur | (up & down) | (left & right)
+                   | ((up | down) & (left | right)))
             if new == cur:
                 return cur
             cur = new

@@ -90,6 +90,18 @@ def test_avoidance_scan_random_n5(monkeypatch):
     assert res["checked"] == 1 and res["counterexample"].entries == arrays[0]
 
 
+def test_random_masks_match_stdlib_draws():
+    """The inlined draws of _random_masks give the arrays of the plain
+    shuffle/randrange loop: n = 2 draws randrange(1), n = 6 6-bit swaps."""
+    for n in range(2, 7):
+        for seed in range(5):
+            expect = [sum(1 << ((i * n + j) * n + s - 1)
+                          for i, row in enumerate(entries)
+                          for j, s in enumerate(row) if s)
+                      for entries in random_avoid_entries(n, 2000, seed)]
+            assert list(designs._random_masks(n, 2000, seed)) == expect, (n, seed)
+
+
 def test_witness_replay_check_survives_optimize():
     """Under python -O a witness square that fails its replay is still
     rejected."""

@@ -52,6 +52,17 @@ def test_bitboard_matches_generic(rng):
         assert closure_equals_graph_engine(fam, sorted(cells))
 
 
+def test_closure_stays_inside_guard_ring():
+    """_closure2 masks no round: a full interior stays exactly the mask and
+    no seed spreads into the guard ring or beyond."""
+    for n in (1, 2, 3, 7):
+        fam = GridFamily(n)
+        assert fam._closure2(fam.mask) == fam.mask
+        for i, p in enumerate((0.1, 0.3, 0.5, 0.7, 0.9) * 8):
+            seed = fam.seed_mask(trial_rng(n, i), p)
+            assert fam._closure2(seed) & ~fam.mask == 0, (n, p)
+
+
 def test_seed_mask_matches_scalar_oracle():
     ps = [0.0, 2.0 ** -53, 0.035, 0.07, 0.5, 1 - 2.0 ** -53, 1.0]
     ps += sorted({p for grid in DEFAULT_GRIDS.values() for p in grid})
@@ -92,6 +103,34 @@ def test_seed_mask_exact_at_threshold():
         expect = seed_mask_scalar(fam, _ScriptedWords(draws), p)
         assert fam.seed_mask(_ScriptedWords(draws), p) == expect
         assert expect == 1 << fam.w + 1 | 1 << 2 * fam.w + 1  # cells 0 and 2
+
+
+def test_seed_mask_tie_byte():
+    """Every cell's word a has the top byte of T, so each cell takes the
+    exact comparison; the 53-bit values sit just below, at and just above
+    T, at the ends of the tied block and at random inside it."""
+    fam = GridFamily(64)
+    rng = random.Random(53)
+    for p in (0.035, 0.5, 1 - 2.0 ** -53):
+        t = math.ceil(p * 2 ** 53)
+        lo = t >> 45 << 45
+        hi = min(lo + 2 ** 45, 2 ** 53) - 1  # the tied block [lo, hi]
+        near = [x for x in (lo, hi, t - 2, t - 1, t, t + 1, t + 2)
+                if lo <= x <= hi]
+        # the first row cycles through the near values
+        xs = [near[i % len(near)] if i < 64 else rng.randint(lo, hi)
+              for i in range(64 * 64)]
+        draws = []
+        for x in xs:  # junk in the bits random() drops
+            draws += [(x >> 26) << 5 | rng.getrandbits(5),
+                      (x & (2 ** 26 - 1)) << 6 | rng.getrandbits(6)]
+        assert {w >> 24 for w in draws[::2]} == {t >> 45}
+        draws += [rng.getrandbits(32), rng.getrandbits(32)]
+        fast, slow = _ScriptedWords(draws), _ScriptedWords(draws)
+        got = fam.seed_mask(fast, p)
+        assert got == seed_mask_scalar(fam, slow, p), p
+        assert got.bit_count() == sum(x < t for x in xs), p
+        assert fast.random() == slow.random(), p
 
 
 def test_estimates_trivial():
