@@ -9,14 +9,26 @@ undirected cycle once per direction, so undirected callers keep the
 traversal with ``c[1] < c[-1]``; rooting each cycle at its least vertex
 (other vertices above the pivot) lists it once, as in Johnson's
 elementary-circuit enumeration.
+
+Cycle-space ranks are exact linear algebra on bitset rows.  A cycle's
+vector is its edge mask (bit i for the i-th edge of ``g.edges()``).  Over
+GF(2) the rows go into the leading-bit XOR basis ``graphs.xor_basis_add``,
+the one gl2's invertibility test uses.  Over GF(3) a row is bit-sliced into
+a pair (ones, twos) of bitsets marking its coordinates equal to 1 and to 2
+(Boothby & Bradshaw, arXiv:0901.1413): ``gf3_add`` adds two rows in a
+dozen bitwise operations, whatever their length, the negation of a row
+swaps its slices, and each pivot is scaled to a 1 at its leading bit, so
+clearing that bit adds the pivot or its negation.  Over Q and GF(p >= 5)
+the rows are expanded into dense lists (``Fraction``s for Q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .graphs import Digraph, Graph, bits, is_connected
+from .graphs import Digraph, Graph, bits, is_connected, xor_basis_add
 
 
 class NotCubicError(ValueError):
@@ -207,49 +219,80 @@ def lollipop_walk(g: Graph, ham: tuple, edge: tuple) -> LollipopTrace:
 
 
 def lollipop_max_steps(g: Graph) -> int | None:
-    """Most rotations the lollipop walk takes from the first Hamilton cycle
-    of g, over every edge of that cycle; None when g has no Hamilton cycle."""
-    ham = next(iter(hamilton_cycles(g)), None)
-    if ham is None:
-        return None
-    n = len(ham)
-    return max(lollipop_walk(g, ham, (ham[i], ham[(i + 1) % n])).steps
-               for i in range(n))
+    """Most rotations the lollipop walk takes, over every Hamilton cycle of
+    g and both orientations of each of its edges, so that isomorphic graphs
+    get the same value; None when g has no Hamilton cycle."""
+    n = g.n
+    return max((lollipop_walk(g, ham, edge).steps
+                for ham in hamilton_cycles(g) for i in range(n)
+                for edge in ((ham[i - 1], ham[i]), (ham[i], ham[i - 1]))),
+               default=None)
 
 
 # ---------------------------------------------------------------------------
 # cycle space over GF(p) / Q
 
 
-def _edge_index(g: Graph) -> dict[tuple[int, int], int]:
-    return {e: i for i, e in enumerate(g.edges())}
+def _edge_bits(g: Graph) -> list[list[int]]:
+    """eb[u][v] = eb[v][u] = 1 << i for the i-th edge of ``g.edges()``."""
+    eb = [[0] * g.n for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges()):
+        eb[u][v] = eb[v][u] = 1 << i
+    return eb
 
 
-def _cycle_vector(cyc, eidx):
-    """0/1 characteristic vector of the cycle's edge set.
+def _cycle_mask(cyc, eb) -> int:
+    """Edge mask of a cycle given as a vertex tuple (either orientation)."""
+    mask = 0
+    prev = cyc[-1]
+    for v in cyc:
+        mask |= eb[prev][v]
+        prev = v
+    return mask
 
-    Both traversal orientations give the same indicator, so each cycle
-    contributes one row.
-    """
-    vec = [0] * len(eidx)
-    for i in range(len(cyc)):
-        u, v = cyc[i], cyc[(i + 1) % len(cyc)]
-        vec[eidx[(u, v) if u < v else (v, u)]] = 1
-    return vec
+
+def gf3_add(x, y):
+    """Sum of two bit-sliced GF(3) vectors, each a pair (ones, twos) of
+    bitsets marking the coordinates equal to 1 and to 2."""
+    x1, x2 = x
+    y1, y2 = y
+    nx, ny = ~(x1 | x2), ~(y1 | y2)
+    return (x1 & ny | y1 & nx | x2 & y2, x2 & ny | y2 & nx | x1 & y1)
+
+
+def _gf3_basis_add(basis: dict, row: int) -> bool:
+    """Reduce the 0/1 row bitmask against the bit-sliced GF(3) basis
+    ``basis`` (leading bit -> pivot with a 1 there) and keep what is left,
+    scaled to a leading 1; False when the row lies in the span."""
+    x = (row, 0)
+    while True:
+        support = x[0] | x[1]
+        if not support:
+            return False
+        lead = support.bit_length() - 1
+        piv = basis.get(lead)
+        if piv is None:
+            basis[lead] = x if x[0] >> lead & 1 else (x[1], x[0])
+            return True
+        # x has a 1 at lead: add -piv (ones and twos swapped); a 2: add piv
+        x = gf3_add(x, (piv[1], piv[0]) if x[0] >> lead & 1 else piv)
 
 
 class _RowReducer:
-    """Incremental Gaussian elimination over GF(p) or the rationals (p=0)."""
+    """Incremental Gaussian elimination over GF(p) or the rationals (p=0)
+    on dense lists: the fields without bitset rows (p = 0 and p >= 5), and
+    the reference the bitset rows are tested against."""
 
     def __init__(self, ncols: int, p: int):
         self.ncols = ncols
         self.p = p
         self.pivots: dict[int, list] = {}
 
-    def add(self, vec) -> bool:
-        """Reduce vec against the pivot rows; returns True if independent."""
+    def add(self, mask: int) -> bool:
+        """Reduce the 0/1 row with support ``mask`` against the pivot rows;
+        returns True if independent."""
         p = self.p
-        vec = list(vec)
+        vec = [mask >> j & 1 for j in range(self.ncols)]
         for col in range(self.ncols):
             a = vec[col]
             if not a:
@@ -271,9 +314,23 @@ class _RowReducer:
                 return True
         return False
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+
+def _rank(masks, m: int, p: int, bound: int) -> int:
+    """Rank over GF(p) (Q for p=0) of 0/1 rows given as bitmasks over ``m``
+    columns, read until it reaches ``bound``."""
+    if p == 2:
+        add = partial(xor_basis_add, {})
+    elif p == 3:
+        add = partial(_gf3_basis_add, {})
+    else:
+        add = _RowReducer(m, p).add
+    rank = 0
+    for mask in masks:
+        if add(mask):
+            rank += 1
+            if rank >= bound:
+                break
+    return rank
 
 
 def _check_field(p: int) -> None:
@@ -293,15 +350,10 @@ def cycle_space_dimension(g: Graph, p: int) -> int:
     if not is_connected(g):
         raise DisconnectedError("cycle space dimension defined for connected graphs")
     _check_field(p)
-    eidx = _edge_index(g)
-    m = len(eidx)
-    bound = m - g.n + 1 if p == 2 else m
-    red = _RowReducer(m, p)
-    for cyc in simple_cycles(g):
-        red.add(_cycle_vector(cyc, eidx))
-        if red.rank >= bound:
-            break
-    return red.rank
+    eb = _edge_bits(g)
+    m = g.edge_count()
+    return _rank((_cycle_mask(cyc, eb) for cyc in simple_cycles(g)), m, p,
+                 m - g.n + 1 if p == 2 else m)
 
 
 def shortest_cycle_through_edge(g: Graph, edge) -> tuple | None:
@@ -341,25 +393,19 @@ def explicit_cycle_basis(g: Graph, p: int):
         raise ValueError("the per-edge basis question concerns characteristic != 2")
     if flows.edge_connectivity(g) < 3:
         raise NotThreeEdgeConnectedError("graph must be 3-edge-connected")
-    eidx = _edge_index(g)
-    cycles = {}
-    for e in eidx:
-        cyc = shortest_cycle_through_edge(g, e)
-        cycles[e] = cyc
-    red = _RowReducer(len(eidx), p)
-    indep = 0
-    for e, cyc in cycles.items():
-        if cyc is not None and red.add(_cycle_vector(cyc, eidx)):
-            indep += 1
+    eb = _edge_bits(g)
+    cycles = {e: shortest_cycle_through_edge(g, e) for e in g.edges()}
+    indep = _rank((_cycle_mask(cyc, eb) for cyc in cycles.values()
+                   if cyc is not None), len(cycles), p, len(cycles))
     return {"cycles": cycles, "independent_count": indep,
-            "is_basis": indep == len(eidx)}
+            "is_basis": indep == len(cycles)}
 
 
 # ---------------------------------------------------------------------------
 # exact (x,y)-paths in digraphs by subset DP
 
 
-def _reach_table(d: Digraph, x: int):
+def reach_table(d: Digraph, x: int):
     """reach[mask] = bitset of v with an x->v path spanning exactly mask."""
     reach = {1 << x: 1 << x}
     # each round expands the masks of one popcount; the masks one larger
@@ -386,10 +432,10 @@ def ham_path_xy(d: Digraph, x: int, y: int):
     if x == y:
         raise ValueError("x and y must differ")
     full = (1 << d.n) - 1
-    reach = _reach_table(d, x)
+    reach = reach_table(d, x)
     if not reach.get(full, 0) >> y & 1:
         return None
-    return _extract_path(d, reach, x, y, full)
+    return extract_path(d, reach, x, y, full)
 
 
 def longest_xy_path(d: Digraph, x: int, y: int):
@@ -399,17 +445,19 @@ def longest_xy_path(d: Digraph, x: int, y: int):
     required, so a bare x->y arcless pair gives 0)."""
     if x == y:
         raise ValueError("x and y must differ")
-    reach = _reach_table(d, x)
+    reach = reach_table(d, x)
     best_mask = 0
     for mask, ends in reach.items():
         if ends >> y & 1 and mask.bit_count() > best_mask.bit_count():
             best_mask = mask
     if not best_mask:
         return 0, None
-    return best_mask.bit_count(), _extract_path(d, reach, x, y, best_mask)
+    return best_mask.bit_count(), extract_path(d, reach, x, y, best_mask)
 
 
-def _extract_path(d: Digraph, reach, x: int, y: int, mask: int):
+def extract_path(d: Digraph, reach, x: int, y: int, mask: int):
+    """The vertices of an x->y path spanning exactly ``mask``, read back
+    from ``reach_table(d, x)``, as a tuple from x to y."""
     path = [y]
     cur = y
     while mask != 1 << x:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from .graphs import xor_basis_add
 from .structure import TooLargeError
 
 
@@ -207,18 +208,10 @@ def _row_span(pats: list[int]) -> set[int]:
 
 def _dependent_row(pats: list[int]) -> int | None:
     """Index of a row lying in the span of the earlier ones, or None if the
-    rows are independent (leading-bit XOR basis)."""
+    rows are independent (``graphs.xor_basis_add``)."""
     basis: dict[int, int] = {}
     for i, p in enumerate(pats):
-        q = p
-        while q:
-            lead = q.bit_length() - 1
-            if lead in basis:
-                q ^= basis[lead]
-            else:
-                basis[lead] = q
-                break
-        if q == 0:
+        if not xor_basis_add(basis, p):
             return i
     return None
 

@@ -459,6 +459,20 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
     return side0, side1
 
 
+def xor_basis_add(basis: dict[int, int], row: int) -> bool:
+    """Reduce the GF(2) row bitmask ``row`` against the leading-bit XOR
+    basis ``basis`` (leading bit -> basis row) and keep what is left as a
+    new basis row; False when ``row`` lies in the span of the basis."""
+    while row:
+        lead = row.bit_length() - 1
+        b = basis.get(lead)
+        if b is None:
+            basis[lead] = row
+            return True
+        row ^= b
+    return False
+
+
 # ---------------------------------------------------------------------------
 # serialization: graph6 / digraph6 / edge lists / JSON
 

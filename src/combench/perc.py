@@ -82,12 +82,11 @@ class GridFamily:
 
     def __init__(self, n: int):
         self.n = n
-        self.w = n + 2  # one empty guard column/row on each side
-        interior = 0
-        for r in range(n):
-            for c in range(n):
-                interior |= 1 << ((r + 1) * self.w + (c + 1))
-        self.mask = interior
+        w = self.w = n + 2  # one empty guard column/row on each side
+        # interior row r is the first one shifted by r*w, so the mask is
+        # the first row times the sum of 2^(r*w) over r < n (no carries)
+        first = ((1 << n) - 1) << (w + 1)
+        self.mask = first * (((1 << w * n) - 1) // ((1 << w) - 1))
         self._table_p = None
         self._table = b""
         self._t = 0

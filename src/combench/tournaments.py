@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flows
-from .cycles import cycles_through
+from .cycles import cycles_through, extract_path, reach_table
 from .graphs import Digraph, Graph, bits, is_strongly_connected, reachable_set
 
 
@@ -367,9 +367,7 @@ def _reversal_search(d: Digraph, k: int, lower_bound, tag: str) -> ReversalResul
 
 def _path_masks(d: Digraph, x: int, y: int) -> set[int]:
     """Vertex masks S such that some (x,y)-path spans exactly S."""
-    from .cycles import _reach_table
-
-    return {mask for mask, ends in _reach_table(d, x).items() if ends >> y & 1}
+    return {mask for mask, ends in reach_table(d, x).items() if ends >> y & 1}
 
 
 def is_path_mergeable(d: Digraph) -> bool:
@@ -423,17 +421,14 @@ def cut_vertices(g: Graph) -> list[int]:
 
 def pm_ham_path(d: Digraph):
     """Exact Hamilton path of a digraph plus block/cut structure of UG(D)."""
-    from .cycles import _reach_table
-
     full = (1 << d.n) - 1
     path = None
     for x in range(d.n):
-        reach = _reach_table(d, x)
+        reach = reach_table(d, x)
         ends = reach.get(full, 0)
         if ends:
             y = (ends & -ends).bit_length() - 1
-            from .cycles import _extract_path
-            path = _extract_path(d, reach, x, y, full)
+            path = extract_path(d, reach, x, y, full)
             break
     ug = d.underlying_graph()
     return {"path": path, "cut_vertices": cut_vertices(ug)}

@@ -152,9 +152,9 @@ def test_cli_verbs(capsys, monkeypatch):
         "8,GBqkbC,0\n8,GJQkcS,0\n8,G}?HWw,0\n8,GLQkQc,0\n8,GFQkRC,0\n")
     assert main(["cycles", "lollipop", "--n", "8"]) == 0
     assert capsys.readouterr().out == (
-        "8,GBqkbC,3\n8,GJQkcS,6\n8,G}?HWw,5\n8,GLQkQc,2\n8,GFQkRC,1\n")
+        "8,GBqkbC,3\n8,GJQkcS,6\n8,G}?HWw,5\n8,GLQkQc,2\n8,GFQkRC,5\n")
     assert main(["cycles", "lollipop", "--n", "8", "--profile"]) == 0
-    assert capsys.readouterr().out == "8,GLQkQc,2\n8,GFQkRC,1\n"
+    assert capsys.readouterr().out == "8,GLQkQc,2\n8,GFQkRC,5\n"
     monkeypatch.undo()
 
     assert main(["perc", "--sizes", "32", "--trials", "40"]) == 0

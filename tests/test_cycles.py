@@ -7,14 +7,16 @@ from combench.cycles import (DisconnectedError, EdgeAbsentError, LollipopTrace,
                              NotCubicError, count_cycles_of_length,
                              count_ham_cycles, count_ham_through_edge,
                              cycle_space_dimension, cycles_through,
-                             explicit_cycle_basis,
+                             explicit_cycle_basis, gf3_add,
                              ham_cycle_edge_counts, ham_path_xy,
-                             hamilton_cycles, lollipop_walk, longest_xy_path,
-                             simple_cycles, smith_parity_check)
-from combench.generate import all_graphs_cached
+                             hamilton_cycles, lollipop_max_steps,
+                             lollipop_walk, longest_xy_path, simple_cycles,
+                             smith_parity_check)
+from combench.generate import all_graphs_cached, connected_cubic_graphs
 from combench.graphs import (complete_graph, cycle_graph, disjoint_union,
-                             moebius_kantor_graph, petersen_graph,
-                             prism_graph, transitive_tournament)
+                             is_connected, moebius_kantor_graph,
+                             petersen_graph, prism_graph,
+                             transitive_tournament)
 from combench.tournaments import two_factor_one_directed
 from conftest import random_graph, random_tournament
 from oracles import (connected_cubic_by_dedupe, directed_cycles_oracle,
@@ -246,6 +248,18 @@ def test_lollipop_finds_enumerated_cycle():
     assert _cycle_edge_set(tr.end_cycle) in all_edge_sets
 
 
+def test_lollipop_max_steps_is_isomorphism_invariant(rng):
+    """Every relabelled copy of a connected cubic graph on 8 or 10 vertices
+    gets the same lollipop maximum as the catalog's representative."""
+    for n in (8, 10):
+        for g in connected_cubic_graphs(n):
+            want = lollipop_max_steps(g)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert lollipop_max_steps(g.relabel(perm)) == want
+
+
 def test_cycle_space_dimensions():
     assert cycle_space_dimension(complete_graph(4), 2) == 3
     assert cycle_space_dimension(complete_graph(4), 3) == 6
@@ -266,6 +280,64 @@ def test_cycle_space_gf2_matches_tree_oracle(rng):
             continue
         done += 1
         assert cycle_space_dimension(g, 2) == spanning_tree_dimension_oracle(g)
+
+
+def _gf3_sliced(vec):
+    return (sum(1 << i for i, a in enumerate(vec) if a == 1),
+            sum(1 << i for i, a in enumerate(vec) if a == 2))
+
+
+def test_gf3_slices_add_and_negate(rng):
+    """Bit-sliced GF(3) sums, and negation as swapping the slices, against
+    integer arithmetic mod 3: on all nine element pairs, then on random
+    vectors."""
+    for a in range(3):
+        ones, twos = _gf3_sliced([a])
+        assert (twos, ones) == _gf3_sliced([-a % 3])
+        for b in range(3):
+            assert gf3_add(_gf3_sliced([a]), _gf3_sliced([b])) == \
+                _gf3_sliced([(a + b) % 3])
+    for _ in range(2000):
+        k = rng.randrange(1, 40)
+        x = [rng.randrange(3) for _ in range(k)]
+        y = [rng.randrange(3) for _ in range(k)]
+        ones, twos = _gf3_sliced(y)
+        assert gf3_add(_gf3_sliced(x), (ones, twos)) == \
+            _gf3_sliced([(a + b) % 3 for a, b in zip(x, y)])
+        assert gf3_add(_gf3_sliced(x), (twos, ones)) == \
+            _gf3_sliced([(a - b) % 3 for a, b in zip(x, y)])
+
+
+def test_cycle_space_bitset_ranks_match_list_reducer():
+    """Over GF(2) and GF(3), the rank of the bitset rows equals the dense
+    list reducer's rank over every simple cycle, on every connected graph
+    with n <= 7 (3-edge-connected or not)."""
+    from combench.cycles import _RowReducer
+
+    checked = 0
+    for n in range(2, 8):
+        for g in all_graphs_cached(n):
+            if not is_connected(g):
+                continue
+            eidx = {e: i for i, e in enumerate(g.edges())}
+            masks = [sum(1 << eidx[min(u, v), max(u, v)]
+                         for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+                     for cyc in simple_cycles(g)]
+            for p in (2, 3):
+                red = _RowReducer(len(eidx), p)
+                want = sum(red.add(mask) for mask in masks)
+                assert cycle_space_dimension(g, p) == want, (g.adj, p)
+            checked += 1
+    assert checked == 995
+
+
+def test_explicit_cycle_basis_counts():
+    """The independent counts of the per-edge shortest cycles of K4, K5 and
+    the prism over GF(3), GF(5) and Q."""
+    graphs = (complete_graph(4), complete_graph(5), prism_graph())
+    for p in (3, 5, 0):
+        assert [explicit_cycle_basis(g, p)["independent_count"]
+                for g in graphs] == [3, 6, 4], p
 
 
 def test_explicit_cycle_basis_reports():

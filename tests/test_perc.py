@@ -52,6 +52,17 @@ def test_bitboard_matches_generic(rng):
         assert closure_equals_graph_engine(fam, sorted(cells))
 
 
+def test_grid_mask_is_the_interior_cells():
+    """The closed-form mask sets exactly bit (r+1)w + (c+1) of every cell."""
+    for n in list(range(1, 10)) + [64, 128]:
+        fam = GridFamily(n)
+        cells = 0
+        for r in range(n):
+            for c in range(n):
+                cells |= 1 << ((r + 1) * fam.w + (c + 1))
+        assert fam.mask == cells, n
+
+
 def test_closure_stays_inside_guard_ring():
     """_closure2 masks no round: a full interior stays exactly the mask and
     no seed spreads into the guard ring or beyond."""
