@@ -1,6 +1,12 @@
 """Command-line front end: problem registry access, per-module verbs, and
 golden-table reproduction.
 
+Each question has one execution path.  A question a registry entry answers
+is asked with ``run --id``, whose payload holds every value.  A per-module
+verb exists only where no payload holds its answer: it reads a graph,
+digraph, matrix or file, takes a forbidden pattern no entry takes, or
+prints a witness or one row per generated graph or sweep point.
+
 Exit codes: 0 ok, 2 bad parameters or input (any ValueError, or an OSError
 reading an input file), 3 unknown problem, 4 golden mismatch.
 """
@@ -28,6 +34,8 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args) -> int:
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise ValueError("--params must be a JSON object")
     try:
         report = registry.run(args.id, params, seed=args.seed)
     except registry.UnknownProblem:
@@ -149,12 +157,10 @@ def _cmd_gen(args) -> int:
     from .generate import GenSpec, generate
     from .graphs import Digraph, to_digraph6, to_graph6
 
-    spec_args = json.loads(args.spec)
     try:
-        spec = GenSpec(**spec_args)
+        spec = GenSpec(**json.loads(args.spec))
     except TypeError as exc:
-        print(f"bad spec: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bad spec: {exc}") from None
     for obj in generate(spec):
         print(to_digraph6(obj) if isinstance(obj, Digraph) else to_graph6(obj))
     return 0
@@ -211,8 +217,7 @@ def _cmd_tour(args) -> int:
 
 def _cmd_color(args) -> int:
     from .coloring import (chord_diagram_from_word, chromatic_number,
-                           circle_graph, edge_chromatic_class,
-                           shift_graph_cyclic)
+                           circle_graph, edge_chromatic_class)
     from .graphs import from_graph6
 
     if args.verb == "chromatic":
@@ -220,10 +225,6 @@ def _cmd_color(args) -> int:
         chi_prime, cls = edge_chromatic_class(g)
         print(json.dumps({"chi": chromatic_number(g),
                           "chi_prime": chi_prime, "class": cls}))
-    elif args.verb == "shift":
-        g = shift_graph_cyclic(args.n, args.r, args.pattern)
-        print(json.dumps({"vertices": g.n, "edges": g.edge_count(),
-                          "chi": chromatic_number(g)}))
     elif args.verb == "circle":
         g = circle_graph(chord_diagram_from_word(args.word))
         print(json.dumps({"vertices": g.n, "edges": g.edge_count(),
@@ -232,26 +233,18 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_fam(args) -> int:
-    from .families import (layer_profile, max_family,
-                           width_independence_complex)
-    from .graphs import cycle_graph, path_graph
+    from .families import max_family
 
-    if args.verb == "katona":
-        size, witness = max_family(args.n, k_intersecting=args.k,
-                                   antichain=args.antichain)
-        print(json.dumps({
-            "size": size,
-            "witness": [format(m, f"0{args.n}b") for m in witness]}))
-    elif args.verb == "width":
-        g = path_graph(args.n) if args.family == "path" else cycle_graph(args.n)
-        print(json.dumps({"width": width_independence_complex(g),
-                          "max_layer": max(layer_profile(g))}))
+    size, witness = max_family(args.n, k_intersecting=args.k,
+                               antichain=args.antichain)
+    print(json.dumps({
+        "size": size,
+        "witness": [format(m, f"0{args.n}b") for m in witness]}))
     return 0
 
 
 def _cmd_ext(args) -> int:
-    from .extremal import (bipartization_cost, hyper_ramsey_witness,
-                           sat_search, turan_number)
+    from .extremal import bipartization_cost, hyper_ramsey_witness, turan_number
     from .graphs import complete_graph, cycle_graph, from_graph6
 
     if args.verb == "turan":
@@ -263,9 +256,6 @@ def _cmd_ext(args) -> int:
         rec = bipartization_cost(from_graph6(args.graph6))
         print(json.dumps({"cost": rec["cost"],
                           "k_r_free_for": rec["k_r_free_for"]}))
-    elif args.verb == "sat":
-        m, _ = sat_search(args.n, args.k, args.ell)
-        print(json.dumps({"sat": m}))
     elif args.verb == "ramsey":
         # colouring file: JSON map "u,v,w" -> "red" | "blue"
         colors = json.loads(Path(args.file).read_text())
@@ -282,8 +272,7 @@ def _cmd_ext(args) -> int:
 
 def _cmd_des(args) -> int:
     from .designs import (AvoidArray, ThreeTournament, avoid_latin,
-                          count_magic, dom_3tournament, dom_scan,
-                          pair_condition_check, positive_fraction)
+                          dom_3tournament, pair_condition_check)
 
     if args.verb == "avoid":
         entries = [[int(x) for x in line.split()]
@@ -291,12 +280,6 @@ def _cmd_des(args) -> int:
                    if line.strip()]
         square = avoid_latin(AvoidArray(entries))
         print(json.dumps(square))
-    elif args.verb == "magic":
-        print(json.dumps({"count": count_magic(args.n, args.k),
-                          "positive_fraction": str(positive_fraction(args.n, args.k))}))
-    elif args.verb == "dom":
-        best, _ = dom_scan(args.n, args.budget, args.seed)
-        print(json.dumps({"max_dom_found": best}))
     elif args.verb == "dom3":
         # JSON map "a,b,c" (sorted triple) -> root vertex
         raw = json.loads(Path(args.file).read_text())
@@ -319,12 +302,6 @@ def _cmd_perc(args) -> int:
     sys.stdout.write(sweep_to_csv(sweeps))
     for s in sweeps:
         print(f"# n={s.n} p_half={s.p_half} reference={s.reference}")
-    if args.gnuplot:
-        print("# gnuplot script:")
-        print("# set datafile separator ','")
-        print("# set xlabel 'p'; set ylabel 'P(full infection)'")
-        print("# plot for [n in \"%s\"] 'sweep.csv' \\" % " ".join(str(s) for s in sizes))
-        print("#   using 2:($1==n ? $3 : 1/0) with linespoints title 'n='.n")
     return 0
 
 
@@ -337,7 +314,7 @@ def _matrix_rows(text: str, n: int) -> tuple[int, ...]:
 
 
 def _cmd_gl2(args) -> int:
-    from .gl2 import diameter, distance, greedy_reduce
+    from .gl2 import distance, greedy_reduce
 
     if args.verb == "dist":
         d, word = distance(_matrix_rows(args.matrix, args.n), args.n)
@@ -345,10 +322,6 @@ def _cmd_gl2(args) -> int:
     elif args.verb == "greedy":
         cnt, word = greedy_reduce(_matrix_rows(args.matrix, args.n), args.n)
         print(json.dumps({"operations": cnt}))
-    elif args.verb == "diameter":
-        d = diameter(args.n)
-        print(json.dumps({"diameter": d["diameter"],
-                          "extremal_count": d["extremal_count"]}))
     return 0
 
 
@@ -392,52 +365,41 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_tour)
 
     sp = sub.add_parser("color", help="colouring verbs")
-    sp.add_argument("verb", choices=("chromatic", "shift", "circle"))
+    sp.add_argument("verb", choices=("chromatic", "circle"))
     sp.add_argument("--graph6", default="")
-    sp.add_argument("--n", type=int, default=5)
-    sp.add_argument("--r", type=int, default=2)
-    sp.add_argument("--pattern", default="XOXO")
     sp.add_argument("--word", default="")
     sp.set_defaults(fn=_cmd_color)
 
     sp = sub.add_parser("fam", help="set-family verbs")
-    sp.add_argument("verb", choices=("katona", "width"))
+    sp.add_argument("verb", choices=("katona",))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--antichain", action="store_true")
-    sp.add_argument("--family", choices=("path", "cycle"), default="cycle")
     sp.set_defaults(fn=_cmd_fam)
 
     sp = sub.add_parser("ext", help="extremal verbs")
-    sp.add_argument("verb", choices=("turan", "bipartize", "sat", "ramsey"))
+    sp.add_argument("verb", choices=("turan", "bipartize", "ramsey"))
     sp.add_argument("--n", type=int, default=6)
     sp.add_argument("--clique", type=int, default=0)
     sp.add_argument("--cycle", type=int, default=4)
     sp.add_argument("--graph6", default="")
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--ell", type=int, default=1)
     sp.add_argument("--t", type=int, default=4)
     sp.add_argument("--file", default="")
     sp.set_defaults(fn=_cmd_ext)
 
     sp = sub.add_parser("des", help="design verbs")
-    sp.add_argument("verb", choices=("avoid", "magic", "dom", "dom3"))
+    sp.add_argument("verb", choices=("avoid", "dom3"))
     sp.add_argument("--file", default="")
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--k", type=int, default=3)
-    sp.add_argument("--budget", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_des)
 
     sp = sub.add_parser("perc", help="percolation sweeps (CSV)")
     sp.add_argument("--sizes", default="32,64")
     sp.add_argument("--trials", type=int, default=400)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--gnuplot", action="store_true")
     sp.set_defaults(fn=_cmd_perc)
 
     sp = sub.add_parser("gl2", help="GL(n,2) verbs")
-    sp.add_argument("verb", choices=("dist", "greedy", "diameter"))
+    sp.add_argument("verb", choices=("dist", "greedy"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--matrix", default="", help="comma-separated hex rows")
     sp.set_defaults(fn=_cmd_gl2)

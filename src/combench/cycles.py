@@ -47,10 +47,6 @@ class DisconnectedError(ValueError):
     pass
 
 
-class NotThreeEdgeConnectedError(ValueError):
-    pass
-
-
 def cycles_through(rows, pivot: int, avail: int, min_len: int = 3,
                    max_len: int | None = None):
     """Yield every simple cycle through ``pivot`` whose other vertices lie in
@@ -123,14 +119,6 @@ def ham_cycle_edge_counts(g: Graph) -> dict[tuple[int, int], int]:
             u, v = cyc[i], cyc[(i + 1) % len(cyc)]
             counts[(u, v) if u < v else (v, u)] += 1
     return counts
-
-
-def count_ham_through_edge(g: Graph, edge) -> int:
-    u, v = edge
-    if not g.has_edge(u, v):
-        raise EdgeAbsentError(f"edge {edge} not in graph")
-    key = (u, v) if u < v else (v, u)
-    return ham_cycle_edge_counts(g)[key]
 
 
 def smith_parity_check(g: Graph) -> dict:
@@ -356,51 +344,6 @@ def cycle_space_dimension(g: Graph, p: int) -> int:
                  m - g.n + 1 if p == 2 else m)
 
 
-def shortest_cycle_through_edge(g: Graph, edge) -> tuple | None:
-    """Shortest cycle through the edge; ties by lexicographically least
-    vertex sequence read from the lower endpoint."""
-    u, v = min(edge), max(edge)
-    h = g.without_edge(u, v)
-    # BFS layers from v, then lexicographic least path u -> v avoiding the edge
-    from collections import deque
-
-    dist = {v: 0}
-    q = deque([v])
-    while q:
-        x = q.popleft()
-        for w in bits(h.adj[x]):
-            if w not in dist:
-                dist[w] = dist[x] + 1
-                q.append(w)
-    if u not in dist:
-        return None
-    path = [u]
-    cur = u
-    while cur != v:
-        nxt = min(w for w in bits(h.adj[cur]) if dist.get(w, -1) == dist[cur] - 1)
-        path.append(nxt)
-        cur = nxt
-    return tuple(path)
-
-
-def explicit_cycle_basis(g: Graph, p: int):
-    """One canonical cycle per edge (shortest through it, lex ties); reports
-    whether the |E| cycles are independent over GF(p)."""
-    from . import flows
-
-    _check_field(p)
-    if p == 2:
-        raise ValueError("the per-edge basis question concerns characteristic != 2")
-    if flows.edge_connectivity(g) < 3:
-        raise NotThreeEdgeConnectedError("graph must be 3-edge-connected")
-    eb = _edge_bits(g)
-    cycles = {e: shortest_cycle_through_edge(g, e) for e in g.edges()}
-    indep = _rank((_cycle_mask(cyc, eb) for cyc in cycles.values()
-                   if cyc is not None), len(cycles), p, len(cycles))
-    return {"cycles": cycles, "independent_count": indep,
-            "is_basis": indep == len(cycles)}
-
-
 # ---------------------------------------------------------------------------
 # exact (x,y)-paths in digraphs by subset DP
 
@@ -436,23 +379,6 @@ def ham_path_xy(d: Digraph, x: int, y: int):
     if not reach.get(full, 0) >> y & 1:
         return None
     return extract_path(d, reach, x, y, full)
-
-
-def longest_xy_path(d: Digraph, x: int, y: int):
-    """(length, path) of a longest (x,y)-path; length counts vertices.
-
-    Returns (0, None) when even the trivial path is impossible (x != y is
-    required, so a bare x->y arcless pair gives 0)."""
-    if x == y:
-        raise ValueError("x and y must differ")
-    reach = reach_table(d, x)
-    best_mask = 0
-    for mask, ends in reach.items():
-        if ends >> y & 1 and mask.bit_count() > best_mask.bit_count():
-            best_mask = mask
-    if not best_mask:
-        return 0, None
-    return best_mask.bit_count(), extract_path(d, reach, x, y, best_mask)
 
 
 def extract_path(d: Digraph, reach, x: int, y: int, mask: int):

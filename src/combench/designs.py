@@ -43,14 +43,6 @@ class AvoidArray:
             if len(row) != self.n or any(not 0 <= x <= self.n for x in row):
                 raise ValueError("entries must be n x n over {0..n}")
 
-    def multiplicities_ok(self) -> bool:
-        """Conjecture hypothesis: each nonzero symbol in at most n-2 cells."""
-        counts = [0] * (self.n + 1)
-        for row in self.entries:
-            for x in row:
-                counts[x] += 1
-        return all(c <= self.n - 2 for c in counts[1:])
-
 
 def avoid_latin(a: AvoidArray):
     """A Latin square L on symbols 1..n with L[i][j] != A[i][j] everywhere,

@@ -203,10 +203,6 @@ def width_independence_complex(g: Graph) -> int:
     return width_of_complex(independence_complex(g))["width"]
 
 
-def width_details(g: Graph) -> dict:
-    return width_of_complex(independence_complex(g))
-
-
 def random_graph_width(n: int, c: float, trials: int, seed: int) -> dict:
     """s(G_{n,p}) / max-layer ratios for p = c/n, deterministic under seed."""
     if n < 1 or trials < 1:

@@ -1,6 +1,6 @@
 """Cayley distance in GL(n,2) under row additions: exact BFS for small n,
 meet-in-the-middle at n=5, a sub-quadratic blockwise greedy reduction, and
-diameter / hard-instance reporting.
+diameter reporting.
 
 Matrices are tuples of row bitmasks.  The generator set is all n(n-1)
 transvections "add row j to row i"; each is an involution, so the Cayley
@@ -162,36 +162,6 @@ def diameter(n: int):
     extremal = [unpack(k, n) for k, d in dist.items() if d == diam]
     return {"diameter": diam, "extremal_count": len(extremal),
             "group_order": len(dist), "extremal": extremal}
-
-
-def hard_instance_search(n: int, budget: int, seed: int = 0):
-    """Certified distance lower bounds beyond exhaustive range: grow the BFS
-    ball around the identity until ``budget`` nodes, then report sampled
-    matrices outside the ball (distance > completed radius)."""
-    gens = [(i, j) for i in range(n) for j in range(n) if i != j]
-    start = pack(identity(n), n)
-    seen = {start}
-    frontier = [start]
-    radius = 0
-    while frontier and len(seen) + len(frontier) * len(gens) < budget:
-        nxt = []
-        for key in frontier:
-            for k2, _ in _neighbors(key, n, gens):
-                if k2 not in seen:
-                    seen.add(k2)
-                    nxt.append(k2)
-        frontier = nxt
-        radius += 1
-    rng = random.Random(seed)
-    witnesses = []
-    for _ in range(200):
-        m = random_invertible(n, rng)
-        if pack(m, n) not in seen:
-            witnesses.append(m)
-            if len(witnesses) >= 3:
-                break
-    return {"certified_radius": radius, "ball_size": len(seen),
-            "lower_bound": radius + 1, "witnesses": witnesses}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Bitset-backed graph, digraph, hypergraph and set-family types.
+"""Bitset-backed graph, digraph and hypergraph types.
 
 Vertices are 0-indexed integers.  Adjacency rows are Python ints used as
 bitsets (vertex i = bit i), which keeps every structural query a popcount
@@ -6,8 +6,6 @@ or a mask away and puts no hard ceiling on n.
 """
 
 from __future__ import annotations
-
-import json
 
 
 def bits(mask: int):
@@ -221,44 +219,12 @@ class Hypergraph:
     def rank(self) -> int:
         return max((e.bit_count() for e in self.edges), default=0)
 
-    def edge_sets(self):
-        return [sorted(bits(e)) for e in self.edges]
-
     def __repr__(self):
         return f"Hypergraph(n={self.n}, edges={len(self.edges)}, k={self.k})"
 
 
-class SetFamily:
-    """Family of subsets of [n], each a bitmask; duplicates forbidden."""
-
-    __slots__ = ("n", "sets")
-
-    def __init__(self, n: int, sets=()):
-        self.n = n
-        self.sets = []
-        seen = set()
-        for s in sets:
-            mask = s if isinstance(s, int) else sum(1 << v for v in set(s))
-            if mask >= 1 << n:
-                raise ValueError("set outside ground range")
-            if mask in seen:
-                raise ValueError("duplicate member set")
-            seen.add(mask)
-            self.sets.append(mask)
-
-    def __len__(self):
-        return len(self.sets)
-
-    def __repr__(self):
-        return f"SetFamily(n={self.n}, size={len(self.sets)})"
-
-
 # ---------------------------------------------------------------------------
 # named constructions
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
 
 
 def complete_graph(n: int) -> Graph:
@@ -294,51 +260,6 @@ def petersen_graph() -> Graph:
     return g
 
 
-def prism_graph() -> Graph:
-    g = Graph(6)
-    for i in range(3):
-        g.add_edge(i, (i + 1) % 3)
-        g.add_edge(3 + i, 3 + (i + 1) % 3)
-        g.add_edge(i, 3 + i)
-    return g
-
-
-def moebius_kantor_graph() -> Graph:
-    """Generalized Petersen graph GP(8, 3)."""
-    g = Graph(16)
-    for i in range(8):
-        g.add_edge(i, (i + 1) % 8)
-        g.add_edge(8 + i, 8 + (i + 3) % 8)
-        g.add_edge(i, 8 + i)
-    return g
-
-
-def grid_graph(rows: int, cols: int) -> Graph:
-    g = Graph(rows * cols)
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                g.add_edge(v, v + 1)
-            if r + 1 < rows:
-                g.add_edge(v, v + cols)
-    return g
-
-
-def graph_join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union plus all edges between the two parts."""
-    n = g1.n + g2.n
-    g = Graph(n)
-    for u, v in g1.edges():
-        g.add_edge(u, v)
-    for u, v in g2.edges():
-        g.add_edge(g1.n + u, g1.n + v)
-    for u in range(g1.n):
-        for v in range(g2.n):
-            g.add_edge(u, g1.n + v)
-    return g
-
-
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     g = Graph(g1.n + g2.n)
     for u, v in g1.edges():
@@ -346,10 +267,6 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     for u, v in g2.edges():
         g.add_edge(g1.n + u, g1.n + v)
     return g
-
-
-def transitive_tournament(n: int) -> Digraph:
-    return Digraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def rotational_tournament(n: int, residues=None) -> Digraph:
@@ -374,11 +291,6 @@ def rotational_tournament(n: int, residues=None) -> Digraph:
         raise RuntimeError(f"residues {sorted(residues)} do not give a tournament "
                            f"on {n} vertices")
     return d
-
-
-def complete_digraph(n: int) -> Digraph:
-    full = (1 << n) - 1
-    return Digraph.from_rows(n, [full & ~(1 << v) for v in range(n)])
 
 
 def directed_cycle(n: int) -> Digraph:
@@ -474,7 +386,7 @@ def xor_basis_add(basis: dict[int, int], row: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# serialization: graph6 / digraph6 / edge lists / JSON
+# serialization: graph6 / digraph6
 
 
 def _n_encode(n: int) -> bytes:
@@ -563,52 +475,3 @@ def from_digraph6(s: str) -> Digraph:
             if bitlist[i * n + j]:
                 d.add_arc(i, j)
     return d
-
-
-def to_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def from_edge_list(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n, m = map(int, lines[0].split())
-    g = Graph(n)
-    for ln in lines[1:]:
-        u, v = map(int, ln.split())
-        g.add_edge(u, v)
-    if g.edge_count() != m:
-        raise ValueError("edge count mismatch in header")
-    return g
-
-
-def to_arc_list(d: Digraph) -> str:
-    lines = [f"{d.n}"]
-    lines.extend(f"{u} -> {v}" for u, v in d.arcs())
-    return "\n".join(lines) + "\n"
-
-
-def from_arc_list(text: str) -> Digraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    d = Digraph(int(lines[0]))
-    for ln in lines[1:]:
-        u, v = ln.split("->")
-        d.add_arc(int(u), int(v))
-    return d
-
-
-def hypergraph_to_json(h: Hypergraph) -> str:
-    return json.dumps(h.edge_sets())
-
-
-def hypergraph_from_json(text: str, n: int, k: int = 0) -> Hypergraph:
-    return Hypergraph(n, json.loads(text), k=k)
-
-
-def family_to_json(f: SetFamily) -> str:
-    return json.dumps([sorted(bits(s)) for s in f.sets])
-
-
-def family_from_json(text: str, n: int) -> SetFamily:
-    return SetFamily(n, json.loads(text))

@@ -177,27 +177,6 @@ def wilson_interval(successes: int, trials: int):
     return phat, max(0.0, center - half), min(1.0, center + half)
 
 
-def estimate_full_infection(g: Graph, p: float, rule: PercRule,
-                            trials: int, seed: int) -> dict:
-    """Monte Carlo estimate of P_p(everything eventually infected)."""
-    if not 0 <= p <= 1 or trials < 1:
-        raise ValueError("need p in [0,1] and trials >= 1")
-    full = (1 << g.n) - 1
-    hits = 0
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        infected = 0
-        for v in range(g.n):
-            if rng.random() < p:
-                infected |= 1 << v
-        closure, _ = percolate(g, rule, infected)
-        if closure == full:
-            hits += 1
-    est, lo, hi = wilson_interval(hits, trials)
-    return {"estimate": est, "ci": (lo, hi), "hits": hits,
-            "trials": trials, "seed": seed}
-
-
 def estimate_grid_full_infection(n: int, p: float, trials: int,
                                  seed: int) -> dict:
     """Monte Carlo estimate of P_p(the n x n grid fills) under the

@@ -69,10 +69,14 @@ def run(problem_id: str, params: dict | None = None, seed: int = 0) -> RunReport
     params = params or {}
     for name, (typ, default, minimum) in entry.params.items():
         if name in params:
+            value = params[name]
             try:
-                merged[name] = typ(params[name])
-            except (TypeError, ValueError) as exc:
+                merged[name] = typ(value)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise BadParams(f"parameter {name}: {exc}") from exc
+            if typ is int and isinstance(value, float) and value != merged[name]:
+                raise BadParams(f"parameter {name} must be a whole number, "
+                                f"got {value}")
         else:
             merged[name] = default
         if minimum is not None and merged[name] < minimum:

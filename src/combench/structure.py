@@ -1,12 +1,11 @@
-"""Exact structural invariants: degree data, connectivity, mad, independence, bicliques."""
+"""Exact structural invariants: mad, cliques, independence, bicliques."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import flows
-from .graphs import Graph, bipartition, bits, component_masks
+from .graphs import Graph, bits
 
 
 class EmptyGraphError(ValueError):
@@ -15,28 +14,6 @@ class EmptyGraphError(ValueError):
 
 class TooLargeError(ValueError):
     pass
-
-
-@dataclass
-class StructureReport:
-    max_degree: int
-    min_degree: int
-    bipartite: bool
-    components: int
-    vertex_connectivity: int
-    edge_connectivity: int
-
-
-def structure_report(g: Graph) -> StructureReport:
-    degs = [a.bit_count() for a in g.adj] or [0]
-    return StructureReport(
-        max_degree=max(degs),
-        min_degree=min(degs),
-        bipartite=bipartition(g) is not None,
-        components=len(component_masks(g)),
-        vertex_connectivity=flows.vertex_connectivity(g),
-        edge_connectivity=flows.edge_connectivity(g),
-    )
 
 
 def edges_inside(g: Graph, mask: int) -> int:

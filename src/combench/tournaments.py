@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flows
-from .cycles import cycles_through, extract_path, reach_table
+from .cycles import cycles_through, reach_table
 from .graphs import Digraph, Graph, bits, is_strongly_connected, reachable_set
 
 
@@ -31,12 +31,6 @@ class InfeasibleError(ValueError):
 
 def lambda_arc(d: Digraph) -> int:
     return flows.arc_strong_connectivity(d)
-
-
-def is_k_arc_strong(d: Digraph, k: int) -> bool:
-    if k <= 0:
-        return True
-    return flows.arc_strong_connectivity(d) >= k
 
 
 def is_k_strong(d: Digraph, k: int) -> bool:
@@ -417,21 +411,6 @@ def cut_vertices(g: Graph) -> list[int]:
         if num[s] == -1:
             dfs(s, -1)
     return sorted(cuts)
-
-
-def pm_ham_path(d: Digraph):
-    """Exact Hamilton path of a digraph plus block/cut structure of UG(D)."""
-    full = (1 << d.n) - 1
-    path = None
-    for x in range(d.n):
-        reach = reach_table(d, x)
-        ends = reach.get(full, 0)
-        if ends:
-            y = (ends & -ends).bit_length() - 1
-            path = extract_path(d, reach, x, y, full)
-            break
-    ug = d.underlying_graph()
-    return {"path": path, "cut_vertices": cut_vertices(ug)}
 
 
 # ---------------------------------------------------------------------------

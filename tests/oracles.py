@@ -10,10 +10,10 @@ from combench.canon import canonical_form, canonical_form_digraph
 from combench.cycles import DisconnectedError
 from combench.generate import (_insert_edge_pair, _irreducible_unions,
                                _orbit_reps, labeled_cubic_count)
-from combench.graphs import (Digraph, Graph, bits, complete_graph, grid_graph,
-                             is_connected)
+from combench.graphs import Digraph, Graph, bits, complete_graph, is_connected
 from combench.perc import PercRule, percolate, threshold_rule
 from combench.structure import edges_inside, max_clique
+from conftest import grid_graph
 
 
 def _count_automorphisms(out: list[int], colors) -> int:

@@ -5,9 +5,9 @@ from combench.canon import (_cycle_key, canonical_form,
 from combench.generate import all_graphs, cubic_graphs_all, tournaments
 from combench.graphs import (Digraph, Graph, complete_bipartite,
                              complete_graph, cycle_graph, disjoint_union,
-                             petersen_graph, prism_graph,
-                             rotational_tournament, transitive_tournament)
-from conftest import random_graph, random_tournament
+                             petersen_graph, rotational_tournament)
+from conftest import (prism_graph, random_graph, random_tournament,
+                      transitive_tournament)
 from oracles import (brute_force_aut_order, brute_force_aut_order_digraph,
                      min_perm_certificate)
 

@@ -53,6 +53,13 @@ def test_cli_exit_codes(capsys, tmp_path):
     capsys.readouterr()
     missing = tmp_path / "missing.txt"
     for argv in (["gen", "--spec", "{bad"],
+                 ["gen", "--spec", "3"],
+                 ["gen", "--spec", '{"bogus": 1}'],
+                 ["run", "--id", "sec11.families.katona", "--params", "3"],
+                 ["run", "--id", "sec11.families.katona",
+                  "--params", '{"n": 1e400}'],
+                 ["run", "--id", "sec11.families.katona",
+                  "--params", '{"n": 2.7}'],
                  ["tour", "kelly", "&"],
                  ["color", "chromatic", "--graph6", "~~~"],
                  ["color", "chromatic", "--graph6="],
@@ -60,8 +67,8 @@ def test_cli_exit_codes(capsys, tmp_path):
                  ["gl2", "greedy", "--n", "4", "--matrix", "1,2"],
                  ["gl2", "greedy", "--n", "2", "--matrix", "3,3"],
                  ["gen", "--spec", '{"n": 12, "class_tag": "tournament"}'],
-                 ["gl2", "diameter", "--n", "5"],
-                 ["des", "magic", "--n", "5"],
+                 ["run", "--id", "sec7.markstrom.gl2", "--params", '{"n": 5}'],
+                 ["run", "--id", "sec8.mckay.magic", "--params", '{"n": 5}'],
                  ["perc", "--sizes", "48"],
                  ["perc", "--sizes", "32,"],
                  ["perc", "--sizes", "32", "--trials", "0"],
@@ -119,20 +126,24 @@ def test_cli_run_payload(capsys):
     assert payload["max"] == 6
 
 
+def _run_payload(capsys, problem_id, params):
+    assert main(["run", "--id", problem_id, "--params", json.dumps(params)]) == 0
+    return json.loads(capsys.readouterr().out)["payload"]
+
+
 def test_cli_verbs(capsys, monkeypatch):
-    assert main(["color", "shift", "--n", "5", "--r", "2",
-                 "--pattern", "XOXO"]) == 0
-    assert json.loads(capsys.readouterr().out)["chi"] == 3
+    payload = _run_payload(capsys, "sec5.backelin.shift",
+                           {"n": 5, "r": 2, "pattern": "XOXO"})
+    assert payload["chi"] == 3
 
-    assert main(["fam", "width", "--family", "cycle", "--n", "8"]) == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["width"] == rec["max_layer"]
+    rows = _run_payload(capsys, "sec4.falgas-ravry.width", {"n_max": 8})["rows"]
+    row = next(r for r in rows if (r["family"], r["n"]) == ("C", 8))
+    assert row["width"] == row["max_layer"]
 
-    assert main(["gl2", "diameter", "--n", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["diameter"] == 6
+    assert _run_payload(capsys, "sec7.markstrom.gl2", {"n": 3})["diameter"] == 6
 
-    assert main(["des", "magic", "--n", "2", "--k", "5"]) == 0
-    assert json.loads(capsys.readouterr().out)["count"] == 6
+    rows = _run_payload(capsys, "sec8.mckay.magic", {"n": 2, "k_max": 5})["rows"]
+    assert (rows[5]["k"], rows[5]["count"]) == (5, 6)
 
     assert main(["gen", "--spec", '{"n": 4, "class_tag": "cubic"}']) == 0
     assert capsys.readouterr().out.strip() == "C~"

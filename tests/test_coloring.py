@@ -20,10 +20,9 @@ from combench.coloring import (BadPattern, BadPrecolouring, Coloring,
                                pendant_edges, shift_graph_cyclic,
                                strong_chromatic_number, subgraph_contains)
 from combench.graphs import (Graph, Hypergraph, complete_graph, cycle_graph,
-                             empty_graph, graph_join, path_graph,
-                             petersen_graph, star_graph)
+                             path_graph, petersen_graph, star_graph)
 from combench.structure import biclique_number
-from conftest import random_graph
+from conftest import empty_graph, graph_join, random_graph
 from oracles import k_edge_colorable_plain
 
 

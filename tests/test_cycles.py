@@ -5,20 +5,17 @@ import pytest
 
 from combench.cycles import (DisconnectedError, EdgeAbsentError, LollipopTrace,
                              NotCubicError, count_cycles_of_length,
-                             count_ham_cycles, count_ham_through_edge,
-                             cycle_space_dimension, cycles_through,
-                             explicit_cycle_basis, gf3_add,
-                             ham_cycle_edge_counts, ham_path_xy,
-                             hamilton_cycles, lollipop_max_steps,
-                             lollipop_walk, longest_xy_path, simple_cycles,
+                             count_ham_cycles, cycle_space_dimension,
+                             cycles_through, gf3_add, ham_cycle_edge_counts,
+                             ham_path_xy, hamilton_cycles, lollipop_max_steps,
+                             lollipop_walk, reach_table, simple_cycles,
                              smith_parity_check)
 from combench.generate import all_graphs_cached, connected_cubic_graphs
 from combench.graphs import (complete_graph, cycle_graph, disjoint_union,
-                             is_connected, moebius_kantor_graph,
-                             petersen_graph, prism_graph,
-                             transitive_tournament)
+                             is_connected, petersen_graph)
 from combench.tournaments import two_factor_one_directed
-from conftest import random_graph, random_tournament
+from conftest import (moebius_kantor_graph, prism_graph, random_graph,
+                      random_tournament, transitive_tournament)
 from oracles import (connected_cubic_by_dedupe, directed_cycles_oracle,
                      spanning_tree_dimension_oracle, tournaments_by_dedupe)
 
@@ -182,9 +179,7 @@ def test_ham_counts():
     assert count_ham_cycles(complete_graph(4)) == 3
     assert count_ham_cycles(cycle_graph(7)) == 1
     assert count_ham_cycles(petersen_graph()) == 0
-    assert count_ham_through_edge(complete_graph(4), (0, 1)) == 2
-    with pytest.raises(EdgeAbsentError):
-        count_ham_through_edge(cycle_graph(5), (0, 2))
+    assert ham_cycle_edge_counts(complete_graph(4))[(0, 1)] == 2
 
 
 def test_edge_count_sum_identity(rng):
@@ -246,6 +241,8 @@ def test_lollipop_finds_enumerated_cycle():
     ham = next(hamilton_cycles(g))
     tr = lollipop_walk(g, ham, (ham[0], ham[1]))
     assert _cycle_edge_set(tr.end_cycle) in all_edge_sets
+    with pytest.raises(EdgeAbsentError):
+        lollipop_walk(g, ham, (0, 4))
 
 
 def test_lollipop_max_steps_is_isomorphism_invariant(rng):
@@ -268,6 +265,12 @@ def test_cycle_space_dimensions():
     assert cycle_space_dimension(prism_graph(), 3) == 9
     with pytest.raises(DisconnectedError):
         cycle_space_dimension(disjoint_union(cycle_graph(3), cycle_graph(3)), 2)
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, -3])
+def test_cycle_space_rejects_non_field(p):
+    with pytest.raises(ValueError, match="prime or 0"):
+        cycle_space_dimension(complete_graph(5), p)
 
 
 def test_cycle_space_gf2_matches_tree_oracle(rng):
@@ -331,49 +334,20 @@ def test_cycle_space_bitset_ranks_match_list_reducer():
     assert checked == 995
 
 
-def test_explicit_cycle_basis_counts():
-    """The independent counts of the per-edge shortest cycles of K4, K5 and
-    the prism over GF(3), GF(5) and Q."""
-    graphs = (complete_graph(4), complete_graph(5), prism_graph())
-    for p in (3, 5, 0):
-        assert [explicit_cycle_basis(g, p)["independent_count"]
-                for g in graphs] == [3, 6, 4], p
-
-
-def test_explicit_cycle_basis_reports():
-    rec = explicit_cycle_basis(complete_graph(4), 3)
-    assert rec["independent_count"] <= 6
-    assert rec["is_basis"] == (rec["independent_count"] == 6)
-    rec5 = explicit_cycle_basis(complete_graph(5), 3)
-    assert 0 < rec5["independent_count"] <= 10
-    from combench.cycles import NotThreeEdgeConnectedError
-
-    with pytest.raises(NotThreeEdgeConnectedError):
-        explicit_cycle_basis(cycle_graph(5), 3)
-
-
-@pytest.mark.parametrize("p", [1, 4, 9, -3])
-def test_explicit_cycle_basis_rejects_non_field(p):
-    with pytest.raises(ValueError, match="prime or 0"):
-        explicit_cycle_basis(complete_graph(5), p)
-
-
 def test_xy_paths():
     d = transitive_tournament(4)
     assert ham_path_xy(d, 0, 3) == (0, 1, 2, 3)
     assert ham_path_xy(d, 3, 0) is None
-    length, path = longest_xy_path(d, 3, 0)
-    assert length == 0 and path is None
-    length, path = longest_xy_path(d, 0, 3)
-    assert length == 4
 
 
 def test_xy_paths_against_enumeration(rng):
+    """``reach_table`` holds exactly the vertex sets that some (x,y)-path
+    spans, and ``ham_path_xy`` finds a path exactly when one spans all."""
     for _ in range(10):
         n = rng.randrange(3, 7)
         d = random_tournament(rng, n)
         x, y = 0, n - 1
-        best = 0
+        spans = set()
         for size in range(2, n + 1):
             for combo in itertools.combinations(range(n), size):
                 if x not in combo or y not in combo:
@@ -383,9 +357,11 @@ def test_xy_paths_against_enumeration(rng):
                     seq = (x,) + perm + (y,)
                     if all(d.has_arc(seq[i], seq[i + 1])
                            for i in range(len(seq) - 1)):
-                        best = max(best, size)
-        got, _ = longest_xy_path(d, x, y)
-        assert got == best
+                        spans.add(sum(1 << v for v in combo))
+                        break
+        reach = reach_table(d, x)
+        assert {mask for mask, ends in reach.items() if ends >> y & 1} == spans
+        assert (ham_path_xy(d, x, y) is not None) == ((1 << n) - 1 in spans)
 
 
 def test_four_strong_tournaments_ham_connected():

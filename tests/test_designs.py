@@ -25,7 +25,6 @@ def test_avoid_latin_basics():
     sq = avoid_latin(blank)
     assert verify_avoidance(blank, sq)
     tiny = AvoidArray([[1, 0], [0, 0]])
-    assert not tiny.multiplicities_ok()  # cap is n-2 = 0
     sq = avoid_latin(tiny)
     assert sq is not None and verify_avoidance(tiny, sq)
 
@@ -35,7 +34,6 @@ def test_avoid_latin_unavoidable_without_cap():
     # unavoidable at any order; the n-2 multiplicity cap rules this out
     for n in (2, 3):
         full = AvoidArray([[1] * n for _ in range(n)])
-        assert not full.multiplicities_ok()
         assert avoid_latin(full) is None
     diag = AvoidArray([[1 if i == j else 0 for j in range(3)]
                        for i in range(3)])

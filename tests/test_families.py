@@ -9,11 +9,11 @@ import pytest
 import combench
 from combench.families import (independence_complex, katona_bound,
                                layer_profile, max_family, milner_bound,
-                               random_graph_width, width_details,
-                               width_independence_complex, width_of_complex)
-from combench.graphs import complete_graph, cycle_graph, empty_graph, path_graph
+                               random_graph_width, width_independence_complex,
+                               width_of_complex)
+from combench.graphs import complete_graph, cycle_graph, path_graph
 from combench.structure import TooLargeError
-from conftest import random_graph
+from conftest import empty_graph, random_graph
 from oracles import brute_force_width
 
 
@@ -80,7 +80,7 @@ def test_independence_complex_and_layers():
 
 def test_width_small_examples():
     assert width_independence_complex(path_graph(3)) == 3
-    rec = width_details(cycle_graph(6))
+    rec = width_of_complex(independence_complex(cycle_graph(6)))
     assert rec["width"] == rec["min_chain_cover"] == 9
     for a in rec["antichain"]:
         for b in rec["antichain"]:
@@ -98,7 +98,7 @@ def test_width_matches_brute_force(rng):
 def test_dilworth_duality_reported():
     for n in range(3, 9):
         for g in (path_graph(n), cycle_graph(n)):
-            rec = width_details(g)
+            rec = width_of_complex(independence_complex(g))
             assert rec["width"] == len(rec["antichain"])
             assert rec["width"] == len(independence_complex(g)) - rec["matching"]
 

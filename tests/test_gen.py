@@ -13,8 +13,8 @@ from combench.generate import (GenSpec, Unsatisfiable, all_graphs,
                                max_aut_3connected_cubic, regular_tournaments,
                                tournaments)
 from combench.graphs import (complete_graph, is_bipartite, is_connected,
-                             moebius_kantor_graph, petersen_graph,
-                             prism_graph, to_graph6)
+                             petersen_graph, to_graph6)
+from conftest import moebius_kantor_graph, prism_graph
 from oracles import (cubic_by_dedupe, labeled_regular_tournament_count,
                      polya_graph_count, tournaments_by_dedupe)
 

@@ -1,15 +1,16 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from combench import registry
-from combench.graphs import complete_graph, grid_graph, path_graph
+from combench.graphs import complete_graph, path_graph
 from combench.perc import (DEFAULT_GRIDS, GridFamily, MAJORITY,
-                           estimate_full_infection,
                            estimate_grid_full_infection, parse_sizes, percolate,
                            threshold_rule, threshold_sweep, trial_rng,
                            wilson_interval)
+from conftest import grid_graph
 from oracles import (closure_equals_graph_engine, percolate_rounds_oracle,
                      seed_mask_scalar)
 
@@ -146,8 +147,7 @@ def test_seed_mask_tie_byte():
 
 def test_estimates_trivial():
     assert estimate_grid_full_infection(8, 0.9999999, 10, 1)["estimate"] == 1.0
-    rec = estimate_full_infection(complete_graph(5), 0.0, MAJORITY, 10, 1)
-    assert rec["estimate"] == 0.0
+    assert estimate_grid_full_infection(8, 0.0, 10, 1)["estimate"] == 0.0
 
 
 def test_estimates_reproducible():
@@ -174,10 +174,14 @@ def test_wilson_interval():
 
 
 def test_complete_graph_majority_jump():
+    # a vertex of K12 converts once 6 of its 11 neighbours are infected:
+    # every 6-vertex seed infects everything, and no 5-vertex seed spreads
     g = complete_graph(12)
-    low = estimate_full_infection(g, 0.25, MAJORITY, 60, seed=3)
-    high = estimate_full_infection(g, 0.75, MAJORITY, 60, seed=3)
-    assert low["estimate"] < 0.5 < high["estimate"]
+    for size, full in ((5, False), (6, True)):
+        for seed in itertools.combinations(range(12), size):
+            mask = sum(1 << v for v in seed)
+            closure, _ = percolate(g, MAJORITY, mask)
+            assert closure == ((1 << 12) - 1 if full else mask)
 
 
 def test_threshold_sweep_shape():
