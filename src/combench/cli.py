@@ -7,8 +7,10 @@ verb exists only where no payload holds its answer: it reads a graph,
 digraph, matrix or file, takes a forbidden pattern no entry takes, or
 prints a witness or one row per generated graph or sweep point.
 
-Exit codes: 0 ok, 2 bad parameters or input (any ValueError, or an OSError
-reading an input file), 3 unknown problem, 4 golden mismatch.
+Exit codes: 0 ok, 2 bad parameters or input, 3 unknown problem, 4 golden
+mismatch.  Every rejection of input raises ``CombenchError``, which carries
+its exit code; a stdlib parse error (JSON, ``int()``) or an unreadable input
+file exits 2.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import registry
+from . import CombenchError, registry
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "v1"
 
@@ -32,16 +34,16 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _json_object(text: str, what: str) -> dict:
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise CombenchError(f"{what} must be a JSON object")
+    return obj
+
+
 def _cmd_run(args) -> int:
-    params = json.loads(args.params) if args.params else {}
-    if not isinstance(params, dict):
-        raise ValueError("--params must be a JSON object")
-    try:
-        report = registry.run(args.id, params, seed=args.seed)
-    except registry.UnknownProblem:
-        print(f"unknown problem id {args.id!r}", file=sys.stderr)
-        return 3
-    print(report.to_json())
+    params = _json_object(args.params, "--params") if args.params else {}
+    print(registry.run(args.id, params, seed=args.seed).to_json())
     return 0
 
 
@@ -158,9 +160,16 @@ def _cmd_gen(args) -> int:
     from .graphs import Digraph, to_digraph6, to_graph6
 
     try:
-        spec = GenSpec(**json.loads(args.spec))
+        spec = GenSpec(**_json_object(args.spec, "--spec"))
     except TypeError as exc:
-        raise ValueError(f"bad spec: {exc}") from None
+        raise CombenchError(f"bad spec: {exc}") from None
+    bounds = (spec.min_degree, spec.max_degree, spec.regular, spec.max_edges,
+              spec.connectivity)
+    if (type(spec.n) is not int
+            or any(b is not None and type(b) is not int for b in bounds)
+            or spec.bipartite is not None and type(spec.bipartite) is not bool):
+        raise CombenchError("bad spec: n and the degree, edge and connectivity "
+                            "bounds must be integers, bipartite a boolean")
     for obj in generate(spec):
         print(to_digraph6(obj) if isinstance(obj, Digraph) else to_graph6(obj))
     return 0
@@ -248,9 +257,11 @@ def _cmd_ext(args) -> int:
     from .graphs import complete_graph, cycle_graph, from_graph6
 
     if args.verb == "turan":
-        pattern = (complete_graph(args.clique) if args.clique
-                   else cycle_graph(args.cycle))
-        v, w = turan_number(args.n, [pattern])
+        make, size, least = ((complete_graph, args.clique, 2) if args.clique
+                             else (cycle_graph, args.cycle, 3))
+        if size < least:
+            raise CombenchError(f"the forbidden graph needs >= {least} vertices")
+        v, w = turan_number(args.n, [make(size)])
         print(json.dumps({"ext": v}))
     elif args.verb == "bipartize":
         rec = bipartization_cost(from_graph6(args.graph6))
@@ -258,7 +269,7 @@ def _cmd_ext(args) -> int:
                           "k_r_free_for": rec["k_r_free_for"]}))
     elif args.verb == "ramsey":
         # colouring file: JSON map "u,v,w" -> "red" | "blue"
-        colors = json.loads(Path(args.file).read_text())
+        colors = _json_object(Path(args.file).read_text(), "--file")
         red = set()
         for key, col in colors.items():
             tri = tuple(sorted(int(x) for x in key.split(",")))
@@ -282,7 +293,7 @@ def _cmd_des(args) -> int:
         print(json.dumps(square))
     elif args.verb == "dom3":
         # JSON map "a,b,c" (sorted triple) -> root vertex
-        raw = json.loads(Path(args.file).read_text())
+        raw = _json_object(Path(args.file).read_text(), "--file")
         roots = {tuple(sorted(int(x) for x in key.split(","))): int(v)
                  for key, v in raw.items()}
         n = 1 + max(max(t) for t in roots)
@@ -309,7 +320,7 @@ def _matrix_rows(text: str, n: int) -> tuple[int, ...]:
     """Parse comma-separated hex rows of an n x n matrix over GF(2)."""
     rows = tuple(int(h, 16) for h in text.split(","))
     if len(rows) != n or any(r >> n for r in rows):
-        raise ValueError(f"--matrix needs {n} hex rows of at most {n} bits")
+        raise CombenchError(f"--matrix needs {n} hex rows of at most {n} bits")
     return rows
 
 
@@ -412,10 +423,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:
-        # domain errors and json.JSONDecodeError all subclass ValueError;
+        # CombenchError and json.JSONDecodeError subclass ValueError;
         # OSError is an unreadable --file
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

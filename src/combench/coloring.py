@@ -14,21 +14,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import CombenchError
 from .cycles import cycles_through
 from .graphs import Graph, bits
-from .structure import TooLargeError, clique_number
-
-
-class PreconditionUnmet(ValueError):
-    pass
-
-
-class BadPrecolouring(ValueError):
-    pass
-
-
-class BadPattern(ValueError):
-    pass
+from .structure import clique_number
 
 
 @dataclass
@@ -183,7 +172,7 @@ def has_overfull_subgraph(g: Graph):
     """An odd-order vertex set whose induced subgraph has more than
     Delta*floor(|H|/2) edges, or None after a full subset scan."""
     if g.n > 24:
-        raise TooLargeError("overfull scan is exponential; n <= 24")
+        raise CombenchError("overfull scan is exponential; n <= 24")
     delta = max((a.bit_count() for a in g.adj), default=0)
     best = None
 
@@ -209,28 +198,17 @@ def has_overfull_subgraph(g: Graph):
 # equitable colouring
 
 
-def ore_degree(g: Graph) -> int:
-    return max((g.adj[u].bit_count() + g.adj[v].bit_count()
-                for u, v in g.edges()), default=0)
-
-
-def equitable_coloring(g: Graph, k: int, allow_ore: bool = False) -> Coloring:
-    """Proper k-colouring with class sizes differing by at most one.
-
-    For max degree < k: greedy colouring followed by vertex moves along
+def equitable_coloring(g: Graph, k: int) -> Coloring:
+    """Proper k-colouring with class sizes differing by at most one, for
+    max degree < k: greedy colouring followed by vertex moves along
     accessibility paths between colour classes (all choices by least index).
-    For the Ore-degree case (theta < 2k) the fallback is exact search.
     """
-    n = g.n
     delta = max((a.bit_count() for a in g.adj), default=0)
-    if delta < k:
-        col = _equitable_by_moves(g, k)
-        if col is None:
-            col = _equitable_exact(g, k)
-    elif allow_ore and ore_degree(g) < 2 * k:
+    if delta >= k:
+        raise CombenchError("need Delta < k")
+    col = _equitable_by_moves(g, k)
+    if col is None:
         col = _equitable_exact(g, k)
-    else:
-        raise PreconditionUnmet("need Delta < k, or theta < 2k with allow_ore")
     if col is None:
         raise RuntimeError("no equitable colouring, against the cited theorems")
     coloring = Coloring(col, k)
@@ -344,17 +322,6 @@ def improper_partition(g: Graph, j: int, k: int):
     side = [-1] * n
     order = sorted(range(n), key=lambda v: -g.adj[v].bit_count())
 
-    def bad(v: int, s: int, bound: int) -> bool:
-        cnt = 0
-        for w in bits(g.adj[v]):
-            if side[w] == s:
-                cnt += 1
-                if cnt > bound:
-                    return True
-                if sum(1 for x in bits(g.adj[w]) if side[x] == s) + 1 > bound:
-                    return True
-        return False
-
     def deg_in(v: int, s: int) -> int:
         return sum(1 for w in bits(g.adj[v]) if side[w] == s)
 
@@ -417,7 +384,7 @@ def strong_colorable(g: Graph, k: int) -> bool:
 def strong_chromatic_number(g: Graph) -> int:
     """Least k such that every union with disjoint k-cliques is k-colourable."""
     if g.n > 8:
-        raise TooLargeError("quantification over clique placements; n <= 8")
+        raise CombenchError("quantification over clique placements; n <= 8")
     if g.n == 0 or g.edge_count() == 0:
         return 1
     lb = chromatic_number(g)
@@ -466,9 +433,9 @@ def arrows_vertex(f: Graph, g: Graph, r: int) -> bool:
     """F -> (G)^v_r: every r-colouring of V(F) has a monochromatic G copy."""
     n = f.n
     if r == 2 and n > 14:
-        raise TooLargeError("2^n colour scan; n <= 14 for r=2")
+        raise CombenchError("2^n colour scan; n <= 14 for r=2")
     if r > 2 and r ** n > 2 ** 16:
-        raise TooLargeError("r^n colour scan too large")
+        raise CombenchError("r^n colour scan too large")
 
     sub_memo: dict[int, bool] = {}
 
@@ -537,10 +504,10 @@ def extend_pendant_precoloring(g: Graph, precol: dict, palette: int):
     for (u, v), c in precol.items():
         e = (u, v) if u < v else (v, u)
         if e not in pend:
-            raise BadPrecolouring(f"{e} is not a pendant edge")
+            raise CombenchError(f"{e} is not a pendant edge")
         for x in e:
             if c in seen_at.setdefault(x, set()):
-                raise BadPrecolouring("incident precoloured edges share a colour")
+                raise CombenchError("incident precoloured edges share a colour")
             seen_at[x].add(c)
     return k_edge_colorable(g, palette, precol=precol)
 
@@ -562,17 +529,8 @@ def pendant_f_scan(d: int, n_max: int):
                 for chosen in itertools.combinations(pend, cnt):
                     for precol in _precolorings(chosen, d + worst + 2):
                         f = 0
-                        while True:
-                            try:
-                                got = extend_pendant_precoloring(g, precol, d + f)
-                            except BadPrecolouring:
-                                got = "bad"
-                                break
-                            if got is not None:
-                                break
+                        while extend_pendant_precoloring(g, precol, d + f) is None:
                             f += 1
-                        if got == "bad":
-                            continue
                         if f > worst:
                             worst = f
                             witness = (g, dict(precol))
@@ -611,7 +569,7 @@ class ChordDiagram:
     def __post_init__(self):
         pts = [p for ch in self.chords for p in ch]
         if sorted(pts) != list(range(2 * len(self.chords))):
-            raise ValueError("chord endpoints must be a perfect pairing of 0..2c-1")
+            raise CombenchError("chord endpoints must be a perfect pairing of 0..2c-1")
 
 
 def chord_diagram_from_word(word: str) -> ChordDiagram:
@@ -620,7 +578,7 @@ def chord_diagram_from_word(word: str) -> ChordDiagram:
     for i, ch in enumerate(word):
         where.setdefault(ch, []).append(i)
     if any(len(v) != 2 for v in where.values()):
-        raise ValueError("each chord label must appear exactly twice")
+        raise CombenchError("each chord label must appear exactly twice")
     return ChordDiagram([tuple(v) for _, v in sorted(where.items())])
 
 
@@ -656,10 +614,10 @@ def shift_graph_cyclic(n: int, r: int, pattern: str) -> Graph:
     disjoint subsets whose interleaving matches the pattern up to rotation
     and role swap."""
     if r not in VALID_PATTERNS:
-        raise BadPattern("r must be 2 or 3")
+        raise CombenchError("r must be 2 or 3")
     pattern = pattern.upper()
     if pattern not in VALID_PATTERNS[r]:
-        raise BadPattern(f"pattern {pattern!r} invalid for r={r}")
+        raise CombenchError(f"pattern {pattern!r} invalid for r={r}")
     target = _canon_word(pattern)
     verts = list(itertools.combinations(range(n), r))
     g = Graph(len(verts))
@@ -683,7 +641,7 @@ def hyper_strong_chromatic(h) -> dict:
     from .graphs import Hypergraph
 
     if not isinstance(h, Hypergraph):
-        raise TypeError(f"need a Hypergraph, not {type(h).__name__}")
+        raise CombenchError(f"need a Hypergraph, not {type(h).__name__}")
     expansion = Graph(h.n)
     for e in h.edges:
         vs = list(bits(e))
@@ -701,7 +659,7 @@ def hyper_strong_chromatic(h) -> dict:
             choices.append(pairs)
             total *= len(pairs)
     if total > 10 ** 6:
-        raise TooLargeError("too many derived graphs")
+        raise CombenchError("too many derived graphs")
     chi_d = 0
     for combo in itertools.product(*choices) if choices else [()]:
         dg = Graph(h.n)
@@ -762,11 +720,11 @@ def min_mono_cycle_partition(n: int, edge_colors: dict):
     edge_colors maps every pair (u, v), u < v, to a colour label.
     """
     if n > 12:
-        raise TooLargeError("set-partition DP; n <= 12")
+        raise CombenchError("set-partition DP; n <= 12")
     for u in range(n):
         for v in range(u + 1, n):
             if (u, v) not in edge_colors:
-                raise ValueError(f"edge ({u},{v}) not coloured")
+                raise CombenchError(f"edge ({u},{v}) not coloured")
     palette = sorted(set(edge_colors.values()), key=repr)
     rows = {c: [0] * n for c in palette}
     for (u, v), c in edge_colors.items():

@@ -28,23 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+from . import CombenchError
 from .graphs import Digraph, Graph, bits, is_connected, xor_basis_add
-
-
-class NotCubicError(ValueError):
-    pass
-
-
-class NotHamiltonianCycleError(ValueError):
-    pass
-
-
-class EdgeAbsentError(ValueError):
-    pass
-
-
-class DisconnectedError(ValueError):
-    pass
 
 
 def cycles_through(rows, pivot: int, avail: int, min_len: int = 3,
@@ -80,7 +65,7 @@ def cycles_through(rows, pivot: int, avail: int, min_len: int = 3,
 def count_cycles_of_length(g: Graph, length: int) -> int:
     """Exact number of simple cycles with ``length`` vertices."""
     if not 3 <= length <= g.n:
-        raise ValueError("need 3 <= length <= n")
+        raise CombenchError("need 3 <= length <= n")
     full = (1 << g.n) - 1
     return sum(1 for s in range(g.n)
                for _ in cycles_through(g.adj, s, full & -2 << s,
@@ -128,7 +113,7 @@ def smith_parity_check(g: Graph) -> dict:
     failure (meaning a bug in the counting, not new mathematics).
     """
     if any(g.adj[v].bit_count() != 3 for v in range(g.n)):
-        raise NotCubicError("smith parity check needs a cubic graph")
+        raise CombenchError("smith parity check needs a cubic graph")
     counts = ham_cycle_edge_counts(g)
     odd = {e: c for e, c in counts.items() if c % 2}
     return {"edge_counts": counts, "odd_edges": odd, "ok": not odd}
@@ -159,20 +144,20 @@ def lollipop_walk(g: Graph, ham: tuple, edge: tuple) -> LollipopTrace:
     the walk is forced; steps counts the rotations performed.
     """
     if any(g.adj[v].bit_count() != 3 for v in range(g.n)):
-        raise NotCubicError("lollipop walk needs a cubic graph")
+        raise CombenchError("lollipop walk needs a cubic graph")
     n = g.n
     if len(set(ham)) != n or len(ham) != n:
-        raise NotHamiltonianCycleError("not a spanning cycle")
+        raise CombenchError("not a spanning cycle")
     for i in range(n):
         if not g.has_edge(ham[i], ham[(i + 1) % n]):
-            raise NotHamiltonianCycleError("claimed cycle uses a non-edge")
+            raise CombenchError("claimed cycle uses a non-edge")
     x, y = edge
     if not g.has_edge(x, y):
-        raise EdgeAbsentError(f"edge {edge} not in graph")
+        raise CombenchError(f"edge {edge} not in graph")
     cyc_edges = _cycle_edges(ham)
     key = (x, y) if x < y else (y, x)
     if key not in cyc_edges:
-        raise NotHamiltonianCycleError("edge is not on the given cycle")
+        raise CombenchError("edge is not on the given cycle")
 
     # Path from fixed end x to free end y.
     i = ham.index(x)
@@ -324,7 +309,7 @@ def _rank(masks, m: int, p: int, bound: int) -> int:
 def _check_field(p: int) -> None:
     """Reject a characteristic that names no field: p must be prime or 0."""
     if p and (p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1))):
-        raise ValueError("p must be prime or 0")
+        raise CombenchError("p must be prime or 0")
 
 
 def cycle_space_dimension(g: Graph, p: int) -> int:
@@ -336,7 +321,7 @@ def cycle_space_dimension(g: Graph, p: int) -> int:
     fine at desk scale.
     """
     if not is_connected(g):
-        raise DisconnectedError("cycle space dimension defined for connected graphs")
+        raise CombenchError("cycle space dimension defined for connected graphs")
     _check_field(p)
     eb = _edge_bits(g)
     m = g.edge_count()
@@ -373,7 +358,7 @@ def reach_table(d: Digraph, x: int):
 def ham_path_xy(d: Digraph, x: int, y: int):
     """A Hamilton (x,y)-path as a vertex tuple, or None."""
     if x == y:
-        raise ValueError("x and y must differ")
+        raise CombenchError("x and y must differ")
     full = (1 << d.n) - 1
     reach = reach_table(d, x)
     if not reach.get(full, 0) >> y & 1:

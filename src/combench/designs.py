@@ -25,8 +25,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from . import CombenchError
 from .graphs import Graph, bits
-from .structure import TooLargeError
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,7 @@ class AvoidArray:
         self.entries = [list(row) for row in entries]
         for row in self.entries:
             if len(row) != self.n or any(not 0 <= x <= self.n for x in row):
-                raise ValueError("entries must be n x n over {0..n}")
+                raise CombenchError("entries must be n x n over {0..n}")
 
 
 def avoid_latin(a: AvoidArray):
@@ -216,14 +216,14 @@ def avoidance_scan(n: int, mode: str = "exhaustive", budget: int = 10 ** 5,
     """
     if mode == "exhaustive":
         if n > 4:
-            raise TooLargeError("exhaustive symmetry scan; n <= 4")
+            raise CombenchError("exhaustive symmetry scan; n <= 4")
         masks = _class_masks(n)
     elif mode == "random":
         if budget < 1:
-            raise ValueError(f"random mode needs budget >= 1, not {budget}")
+            raise CombenchError(f"random mode needs budget >= 1, not {budget}")
         masks = _random_masks(n, budget, seed)
     else:
-        raise ValueError("mode must be exhaustive or random")
+        raise CombenchError("mode must be exhaustive or random")
     pool = []
     checked = 0
     for mask in masks:
@@ -262,10 +262,6 @@ def _canon_partition(part, stab, n: int) -> tuple:
 # cyclic base orderings
 
 
-class NotBasesError(ValueError):
-    pass
-
-
 def graphic_independence(n_vertices: int):
     """Independence oracle for the graphic matroid: edge sets are independent
     iff they are acyclic (union-find)."""
@@ -300,14 +296,14 @@ def cyclic_base_ordering(bases: list[list], independent, block_mode: bool = Fals
     r = len(bases[0])
     k = len(bases)
     if any(len(b) != r for b in bases):
-        raise NotBasesError("bases must share a size")
+        raise CombenchError("bases must share a size")
     if any(not independent(b) for b in bases):
-        raise NotBasesError("every input must be independent")
+        raise CombenchError("every input must be independent")
     seen = set()
     for b in bases:
         for e in b:
             if e in seen:
-                raise NotBasesError("bases must be disjoint")
+                raise CombenchError("bases must be disjoint")
             seen.add(e)
     m = k * r
     elements = [e for b in bases for e in b]
@@ -370,7 +366,7 @@ class ThreeTournament:
         self.roots = {}
         for triple in itertools.combinations(range(n), 3):
             if triple not in roots or roots[triple] not in triple:
-                raise ValueError(f"missing or invalid root for {triple}")
+                raise CombenchError(f"missing or invalid root for {triple}")
             self.roots[triple] = roots[triple]
 
     @classmethod
@@ -404,7 +400,7 @@ def _dominates(t3: ThreeTournament, x_mask: int) -> bool:
 def dom_3tournament(t3: ThreeTournament):
     """(dom number, witness mask) by exhaustive subset search."""
     if t3.n > 12:
-        raise TooLargeError("exhaustive domination; n <= 12")
+        raise CombenchError("exhaustive domination; n <= 12")
     for size in range(1, t3.n + 1):
         for combo in itertools.combinations(range(t3.n), size):
             mask = sum(1 << v for v in combo)
@@ -444,7 +440,7 @@ def count_magic(n: int, k: int) -> int:
     Cached by (n, k): ``positive_fraction`` and ``ehrhart_check`` ask for
     the same counts many times."""
     if n > 4:
-        raise TooLargeError("column-state DP sized for n <= 4")
+        raise CombenchError("column-state DP sized for n <= 4")
     if k < 0:
         return 0
 
@@ -538,12 +534,12 @@ def realize_path_system(labels: list, seqs: list[list]):
     slots; at most 2|E| vertices are ever needed.
     """
     if len(labels) > 12:
-        raise TooLargeError("endpoint identification search; |E| <= 12")
+        raise CombenchError("endpoint identification search; |E| <= 12")
     for seq in seqs:
         if len(set(seq)) != len(seq):
             return None  # a simple path cannot repeat an edge
         if any(lab not in labels for lab in seq):
-            raise ValueError("sequence uses an unknown label")
+            raise CombenchError("sequence uses an unknown label")
     lab_idx = {lab: i for i, lab in enumerate(labels)}
     positions = [(si, pi) for si, seq in enumerate(seqs)
                  for pi in range(len(seq))]
@@ -648,7 +644,7 @@ def sym_ramsey_check(n: int, k: int, r: int) -> bool:
     import math
 
     if math.factorial(n) > 24:
-        raise TooLargeError("word set too large; n <= 4")
+        raise CombenchError("word set too large; n <= 4")
     if k == 1:
         return r <= n
     words = sorted(itertools.permutations(range(1, n + 1)))

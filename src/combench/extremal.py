@@ -5,14 +5,11 @@ from __future__ import annotations
 
 import itertools
 
+from . import CombenchError
 from .canon import canonical_form
 from .coloring import subgraph_contains
 from .graphs import Graph, Hypergraph, bits
-from .structure import TooLargeError, clique_number
-
-
-class BadDivisibility(ValueError):
-    pass
+from .structure import clique_number
 
 
 def forbidden_free(g: Graph, patterns) -> bool:
@@ -26,9 +23,11 @@ def turan_number(n: int, patterns: list[Graph]):
     (slower, exact).
     """
     if not patterns:
-        raise ValueError("forbidden family must be nonempty")
+        raise CombenchError("forbidden family must be nonempty")
+    if n < 1:
+        raise CombenchError("need n >= 1")
     if n > 10:
-        raise TooLargeError("exact Turan numbers computed for n <= 10")
+        raise CombenchError("exact Turan numbers computed for n <= 10")
     if n <= 7:
         from .generate import all_graphs_cached
 
@@ -90,11 +89,11 @@ def is_l_hamiltonian(h: Hypergraph, ell: int) -> bool:
     """Does h contain an l-overlapping Hamiltonian cycle?"""
     k = h.k
     if not k or not 1 <= ell <= k - 1:
-        raise ValueError("need uniform k-graph and 1 <= l <= k-1")
+        raise CombenchError("need uniform k-graph and 1 <= l <= k-1")
     n = h.n
     step = k - ell
     if n % step:
-        raise BadDivisibility("need (k-l) | n")
+        raise CombenchError("need (k-l) | n")
     if n // step < 3 or n < k + 1:
         return False
     edge_set = set(h.edges)
@@ -179,7 +178,7 @@ def sat_search(n: int, k: int, ell: int):
     """
     step = k - ell
     if n % step:
-        raise BadDivisibility("need (k-l) | n")
+        raise CombenchError("need (k-l) | n")
     if k == 2:
         from .generate import all_graphs_cached
 
@@ -192,7 +191,7 @@ def sat_search(n: int, k: int, ell: int):
                 best, witness = len(h.edges), h
         return best, witness
     if n > 7:
-        raise TooLargeError("hypergraph saturation search; n <= 7")
+        raise CombenchError("hypergraph saturation search; n <= 7")
     all_edges = [sum(1 << v for v in combo)
                  for combo in itertools.combinations(range(n), k)]
     for m in range(0, len(all_edges) + 1):
@@ -215,7 +214,7 @@ def sat_search(n: int, k: int, ell: int):
 def max_cut(g: Graph):
     """(cut size, side mask), exact by subset DFS with incremental counts."""
     if g.n > 24:
-        raise TooLargeError("exact max-cut; n <= 24")
+        raise CombenchError("exact max-cut; n <= 24")
     n = g.n
     best = [0, 0]
     degs = [g.adj[v].bit_count() for v in range(n)]
@@ -259,7 +258,7 @@ def hyper_ramsey_witness(n: int, red_edges: set, t: int):
     ("red_c3", witness) / ("blue_kt", witness) / None.
     """
     if n > 13:
-        raise TooLargeError("witness scan; n <= 13")
+        raise CombenchError("witness scan; n <= 13")
     red = {tuple(sorted(e)) for e in red_edges}
 
     # red loose triangle: core {p,q,r} + pendants s,t,u, all six distinct:

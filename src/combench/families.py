@@ -14,8 +14,9 @@ import random
 from collections import deque
 from math import comb
 
+from . import CombenchError
 from .graphs import Graph, bits
-from .structure import TooLargeError, max_clique
+from .structure import max_clique
 
 
 def katona_bound(n: int, k: int) -> int:
@@ -42,7 +43,7 @@ def max_family(n: int, k_intersecting: int | None = None,
     the answer is its maximum clique.
     """
     if n > 10:
-        raise TooLargeError("compatibility clique search; n <= 10")
+        raise CombenchError("compatibility clique search; n <= 10")
     subsets = []
     for mask in range(1 << n):
         if k_intersecting is not None and mask.bit_count() < k_intersecting:
@@ -164,7 +165,7 @@ def width_of_complex(elements: list[int]) -> dict:
     """
     n_el = len(elements)
     if n_el > 10 ** 6:
-        raise TooLargeError("poset too large")
+        raise CombenchError("poset too large")
     adj = _comparability_adjacency(elements)
     m_size, match_l, match_r = _hopcroft_karp(n_el, n_el, adj)
     width = n_el - m_size
@@ -206,7 +207,7 @@ def width_independence_complex(g: Graph) -> int:
 def random_graph_width(n: int, c: float, trials: int, seed: int) -> dict:
     """s(G_{n,p}) / max-layer ratios for p = c/n, deterministic under seed."""
     if n < 1 or trials < 1:
-        raise ValueError("need n >= 1 and trials >= 1")
+        raise CombenchError("need n >= 1 and trials >= 1")
     p = c / n
     ratios = []
     for t in range(trials):

@@ -44,14 +44,10 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb, factorial
 
-from . import flows
+from . import CombenchError, flows
 from .canon import CanonicalForm, canonical_form, canonical_form_digraph
 from .graphs import (Digraph, Graph, bits, component_masks, disjoint_union,
                      is_bipartite, is_connected)
-
-
-class Unsatisfiable(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -516,28 +512,29 @@ TOURNAMENT_DEFAULT_CAP = 9
 def generate(spec: GenSpec):
     """Yield one representative per isomorphism class, deterministic order."""
     if spec.n < 1:
-        raise Unsatisfiable("n must be positive")
+        raise CombenchError("n must be positive")
     if any(b is not None and b < 0 for b in (spec.min_degree, spec.max_degree,
                                              spec.regular, spec.max_edges,
                                              spec.connectivity)):
-        raise Unsatisfiable("degree, edge and connectivity bounds must be >= 0")
+        raise CombenchError("degree, edge and connectivity bounds must be >= 0")
     if spec.class_tag in ("tournament", "regular-tournament"):
         if spec.n > TOURNAMENT_DEFAULT_CAP:
-            raise Unsatisfiable(f"tournament generation capped at n={TOURNAMENT_DEFAULT_CAP}")
+            raise CombenchError(
+                f"tournament generation capped at n={TOURNAMENT_DEFAULT_CAP}")
         pool = (regular_tournaments(spec.n) if spec.class_tag == "regular-tournament"
                 else tournaments(spec.n))
         yield from pool
         return
     if spec.class_tag == "cubic":
         if spec.n < 4 or spec.n % 2:
-            raise Unsatisfiable("cubic graphs need even n >= 4")
+            raise CombenchError("cubic graphs need even n >= 4")
         pool = cubic_graphs_all(spec.n)
     elif spec.class_tag == "graph":
         pool = graphs_upto(spec.n, max_degree=spec.max_degree,
                            max_edges=spec.max_edges,
                            bipartite_only=bool(spec.bipartite))[spec.n]
     else:
-        raise Unsatisfiable(f"unknown class {spec.class_tag!r}")
+        raise CombenchError(f"unknown class {spec.class_tag!r}")
     for g in pool:
         if spec.min_degree is not None and any(
                 g.adj[v].bit_count() < spec.min_degree for v in range(g.n)):

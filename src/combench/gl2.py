@@ -12,12 +12,8 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from . import CombenchError
 from .graphs import xor_basis_add
-from .structure import TooLargeError
-
-
-class SingularError(ValueError):
-    pass
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -58,7 +54,7 @@ def random_invertible(n: int, rng: random.Random) -> tuple[int, ...]:
 def _full_bfs(n: int):
     """dist and parent-op maps over all of GL(n,2) (n <= 4)."""
     if n > 4:
-        raise TooLargeError("full BFS only up to n=4 (|GL(4,2)| = 20160)")
+        raise CombenchError("full BFS only up to n=4 (|GL(4,2)| = 20160)")
     gens = [(i, j) for i in range(n) for j in range(n) if i != j]
     start = pack(identity(n), n)
     dist = {start: 0}
@@ -84,7 +80,7 @@ def _full_bfs(n: int):
 def distance(rows, n: int):
     """(exact distance to the identity, witness word of row additions)."""
     if not is_invertible(rows, n):
-        raise SingularError("matrix not invertible over GF(2)")
+        raise CombenchError("matrix not invertible over GF(2)")
     if n <= 4:
         dist, parent = _full_bfs(n)
         key = pack(rows, n)
@@ -100,7 +96,7 @@ def distance(rows, n: int):
         return dist[key], word
     if n == 5:
         return _mitm_distance(rows, n)
-    raise TooLargeError("exact distance for n <= 5 only")
+    raise CombenchError("exact distance for n <= 5 only")
 
 
 def _neighbors(key: int, n: int, gens):
@@ -195,7 +191,7 @@ def greedy_reduce(rows, n: int):
     rows, which are exact unit vectors by that point.
 
     The count is >= the Cayley distance and tracks n^2/log2(n).  A
-    singular matrix raises SingularError: some pivot block then cannot be
+    singular matrix raises CombenchError: some pivot block then cannot be
     patched to full rank from the rows below it.
     """
     work = list(rows)
@@ -237,7 +233,7 @@ def greedy_reduce(rows, n: int):
             src = next((r for r in range(b1, n)
                         if ((work[r] & bmask) >> b0) not in span), None)
             if src is None:
-                raise SingularError("matrix not invertible over GF(2)")
+                raise CombenchError("matrix not invertible over GF(2)")
             add(b0 + dep, src)
         jordan(b0, b1)
         targets = [r for r in range(b1, n) if work[r] & bmask]

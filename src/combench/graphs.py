@@ -7,6 +7,8 @@ or a mask away and puts no hard ceiling on n.
 
 from __future__ import annotations
 
+from . import CombenchError
+
 
 def bits(mask: int):
     """Iterate the set bit positions of ``mask`` in increasing order."""
@@ -29,9 +31,9 @@ class Graph:
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
-            raise ValueError("self-loops are not allowed")
+            raise CombenchError("self-loops are not allowed")
         if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            raise CombenchError(f"edge ({u},{v}) out of range for n={self.n}")
         self.adj[u] |= 1 << v
         self.adj[v] |= 1 << u
 
@@ -76,13 +78,6 @@ class Graph:
         g.adj = [full & ~self.adj[v] & ~(1 << v) for v in range(self.n)]
         return g
 
-    def relabel(self, perm) -> "Graph":
-        """New graph with vertex v renamed perm[v]."""
-        g = Graph(self.n)
-        for u, v in self.edges():
-            g.add_edge(perm[u], perm[v])
-        return g
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -121,9 +116,9 @@ class Digraph:
 
     def add_arc(self, u: int, v: int) -> None:
         if u == v:
-            raise ValueError("self-loops are not allowed")
+            raise CombenchError("self-loops are not allowed")
         if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"arc ({u},{v}) out of range for n={self.n}")
+            raise CombenchError(f"arc ({u},{v}) out of range for n={self.n}")
         self.out[u] |= 1 << v
         self.inn[v] |= 1 << u
 
@@ -211,9 +206,9 @@ class Hypergraph:
     def add_edge(self, e) -> None:
         mask = e if isinstance(e, int) else sum(1 << v for v in set(e))
         if mask >= 1 << self.n:
-            raise ValueError("edge outside vertex range")
+            raise CombenchError("edge outside vertex range")
         if self.k and mask.bit_count() != self.k:
-            raise ValueError(f"edge size {mask.bit_count()} != uniformity {self.k}")
+            raise CombenchError(f"edge size {mask.bit_count()} != uniformity {self.k}")
         self.edges.append(mask)
 
     def rank(self) -> int:
@@ -394,19 +389,22 @@ def _n_encode(n: int) -> bytes:
         return bytes([n + 63])
     if n <= 258047:
         return bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
-    raise ValueError("n too large for this encoder")
+    raise CombenchError("n too large for this encoder")
 
 
 def _n_decode(data: bytes) -> tuple[int, int]:
     if not data or any(not 63 <= b <= 126 for b in data):
-        raise ValueError("graph6/digraph6 data must be non-empty bytes 63..126")
+        raise CombenchError("graph6/digraph6 data must be non-empty bytes 63..126")
     if data[0] != 126:
         return data[0] - 63, 1
     if len(data) < 4:
-        raise ValueError("truncated graph6/digraph6 size")
+        raise CombenchError("truncated graph6/digraph6 size")
     if data[1] != 126:
-        return ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63), 4
-    raise ValueError("unsupported huge n")
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        if n < 63:
+            raise CombenchError(f"graph6/digraph6 size {n} must take one byte")
+        return n, 4
+    raise CombenchError("unsupported huge n")
 
 
 def _r_encode(bitlist: list[int]) -> bytes:
@@ -424,12 +422,14 @@ def _r_encode(bitlist: list[int]) -> bytes:
 def _r_decode(data: bytes, nbits: int) -> list[int]:
     need = (nbits + 5) // 6
     if len(data) != need:
-        raise ValueError(f"graph6/digraph6 data needs {need} bytes after "
-                         f"the size, got {len(data)}")
+        raise CombenchError(f"graph6/digraph6 data needs {need} bytes after "
+                            f"the size, got {len(data)}")
     out = []
     for byte in data:
         val = byte - 63
         out.extend((val >> s) & 1 for s in range(5, -1, -1))
+    if any(out[nbits:]):
+        raise CombenchError("graph6/digraph6 padding bits must be zero")
     return out[:nbits]
 
 
@@ -464,12 +464,12 @@ def from_digraph6(s: str) -> Digraph:
     if data.startswith(b">>digraph6<<"):
         data = data[12:]
     if not data.startswith(b"&"):
-        raise ValueError("not a digraph6 string")
+        raise CombenchError("not a digraph6 string")
     n, off = _n_decode(data[1:])
     d = Digraph(n)
     bitlist = _r_decode(data[1 + off:], n * n)
     if any(bitlist[i * n + i] for i in range(n)):
-        raise ValueError("malformed digraph6: diagonal bit set")
+        raise CombenchError("malformed digraph6: diagonal bit set")
     for i in range(n):
         for j in range(n):
             if bitlist[i * n + j]:

@@ -33,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from . import CombenchError
 from .graphs import Graph
 
 
@@ -47,7 +48,7 @@ class PercRule:
             return degree // 2 + 1
         if self.kind == "threshold":
             return self.r
-        raise ValueError(f"unknown rule {self.kind!r}")
+        raise CombenchError(f"unknown rule {self.kind!r}")
 
 
 MAJORITY = PercRule("majority")
@@ -95,7 +96,7 @@ class GridFamily:
         """Padded bitboard of the cells with ``rng.random() < p``, drawn in
         row-major order from one ``getrandbits`` call (module docstring)."""
         if not 0 <= p <= 1:
-            raise ValueError(f"need p in [0,1], not {p}")
+            raise CombenchError(f"need p in [0,1], not {p}")
         cells = self.n * self.n
         if p != self._table_p:
             t = math.ceil(p * 2.0 ** 53)
@@ -182,7 +183,7 @@ def estimate_grid_full_infection(n: int, p: float, trials: int,
     """Monte Carlo estimate of P_p(the n x n grid fills) under the
     2-neighbour rule, one ``trial_rng`` stream per trial."""
     if not 0 <= p <= 1 or trials < 1:
-        raise ValueError("need p in [0,1] and trials >= 1")
+        raise CombenchError("need p in [0,1] and trials >= 1")
     fam = GridFamily(n)
     hits = 0
     for t in range(trials):
@@ -203,20 +204,20 @@ DEFAULT_GRIDS = {
 
 
 def parse_sizes(text: str) -> list[int]:
-    """Grid sizes from a comma-separated list such as "64,128"; ValueError
-    for an empty item or one that is not an integer."""
+    """Grid sizes from a comma-separated list such as "64,128"; CombenchError
+    for an empty item, ValueError from int() for one that is not an integer."""
     items = text.split(",")
     if not all(s.strip() for s in items):
-        raise ValueError(f"grid sizes {text!r} have an empty item")
+        raise CombenchError(f"grid sizes {text!r} have an empty item")
     return [int(s) for s in items]
 
 
 def default_grids(sizes: list[int]) -> dict[int, list[float]]:
-    """The default p grid of each size; ValueError for a size without one."""
+    """The default p grid of each size; CombenchError for a size without one."""
     missing = [n for n in sizes if n not in DEFAULT_GRIDS]
     if missing:
-        raise ValueError(f"no default p grid for sizes {missing}; "
-                         f"available: {sorted(DEFAULT_GRIDS)}")
+        raise CombenchError(f"no default p grid for sizes {missing}; "
+                            f"available: {sorted(DEFAULT_GRIDS)}")
     return {n: DEFAULT_GRIDS[n] for n in sizes}
 
 
@@ -242,7 +243,7 @@ def threshold_sweep(sizes: list[int], p_grid: dict, trials: int,
     for n in sizes:
         grid = sorted(p_grid[n])
         if not grid or grid[0] <= 0 or grid[-1] >= 1:
-            raise ValueError("p grid must lie inside (0,1)")
+            raise CombenchError("p grid must lie inside (0,1)")
         res = SweepResult(n=n, grid=grid, trials=trials, seed=seed)
         for i, p in enumerate(grid):
             stats = estimate_grid_full_infection(

@@ -7,15 +7,9 @@ import json
 import time
 from dataclasses import dataclass
 
+from . import CombenchError
+
 ARTIFACT_VERSION = "1"
-
-
-class UnknownProblem(KeyError):
-    pass
-
-
-class BadParams(ValueError):
-    pass
 
 
 @dataclass
@@ -63,28 +57,31 @@ def list_problems(section_filter: str = "") -> list[ProblemEntry]:
 
 def run(problem_id: str, params: dict | None = None, seed: int = 0) -> RunReport:
     if problem_id not in _REGISTRY:
-        raise UnknownProblem(problem_id)
+        raise CombenchError(f"unknown problem id {problem_id!r}", exit_code=3)
     entry = _REGISTRY[problem_id]
     merged = {}
     params = params or {}
     for name, (typ, default, minimum) in entry.params.items():
         if name in params:
             value = params[name]
+            if isinstance(value, bool) and typ in (int, float):
+                raise CombenchError(f"parameter {name} must be a number, "
+                                    f"got {json.dumps(value)}")
             try:
                 merged[name] = typ(value)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise BadParams(f"parameter {name}: {exc}") from exc
+                raise CombenchError(f"parameter {name}: {exc}") from exc
             if typ is int and isinstance(value, float) and value != merged[name]:
-                raise BadParams(f"parameter {name} must be a whole number, "
-                                f"got {value}")
+                raise CombenchError(f"parameter {name} must be a whole number, "
+                                    f"got {value}")
         else:
             merged[name] = default
         if minimum is not None and merged[name] < minimum:
-            raise BadParams(f"parameter {name} must be >= {minimum}, "
-                            f"got {merged[name]}")
+            raise CombenchError(f"parameter {name} must be >= {minimum}, "
+                                f"got {merged[name]}")
     for name in params:
         if name not in entry.params:
-            raise BadParams(f"unknown parameter {name!r} for {problem_id}")
+            raise CombenchError(f"unknown parameter {name!r} for {problem_id}")
     t0 = time.perf_counter()
     payload = entry.runner(seed=seed, **merged)
     return RunReport(problem_id, merged, seed, time.perf_counter() - t0, payload)

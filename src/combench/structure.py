@@ -4,16 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import flows
+from . import CombenchError, flows
 from .graphs import Graph, bits
-
-
-class EmptyGraphError(ValueError):
-    pass
-
-
-class TooLargeError(ValueError):
-    pass
 
 
 def edges_inside(g: Graph, mask: int) -> int:
@@ -28,7 +20,7 @@ def mad(g: Graph) -> Fraction:
     iterations over a max-flow density test beyond.
     """
     if g.n < 1:
-        raise ValueError("mad needs at least one vertex")
+        raise CombenchError("mad needs at least one vertex")
     if g.n <= 20:
         e_table = [0] * (1 << g.n)
         best_e, best_k = 0, 1
@@ -127,7 +119,7 @@ def max_clique(g: Graph) -> int:
 def max_independent_set(g: Graph) -> int:
     """Bitmask of a maximum independent set (max clique of the complement)."""
     if g.n < 1:
-        raise ValueError("need n >= 1")
+        raise CombenchError("need n >= 1")
     return max_clique(g.complement())
 
 
@@ -142,9 +134,9 @@ def clique_number(g: Graph) -> int:
 def biclique_number(g: Graph) -> int:
     """Largest a+b with K_{a,b} as a (not necessarily induced) subgraph."""
     if g.n < 2:
-        raise ValueError("need n >= 2")
+        raise CombenchError("need n >= 2")
     if g.edge_count() == 0:
-        raise EmptyGraphError("biclique number undefined for empty graphs")
+        raise CombenchError("biclique number undefined for empty graphs")
     best = 0
     full = (1 << g.n) - 1
     for a_mask in range(1, 1 << g.n):

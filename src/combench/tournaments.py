@@ -8,25 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import flows
+from . import CombenchError, flows
 from .cycles import cycles_through, reach_table
 from .graphs import Digraph, Graph, bits, is_strongly_connected, reachable_set
-
-
-class NotRegularError(ValueError):
-    pass
-
-
-class NotKArcStrongError(ValueError):
-    pass
-
-
-class TooSmallError(ValueError):
-    pass
-
-
-class InfeasibleError(ValueError):
-    pass
 
 
 def lambda_arc(d: Digraph) -> int:
@@ -37,7 +21,7 @@ def is_k_strong(d: Digraph, k: int) -> bool:
     if k <= 0:
         return True
     if d.n < k + 1:
-        raise TooSmallError("k-strong needs at least k+1 vertices")
+        raise CombenchError("k-strong needs at least k+1 vertices")
     return flows.vertex_strong_connectivity(d) >= k
 
 
@@ -78,7 +62,7 @@ def decompose_arc_disjoint_strong(d: Digraph, k: int) -> StrongDecomposition | N
     needs n arcs to be spanning and strong.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise CombenchError("k must be >= 1")
     n = d.n
     arcs = list(d.arcs())
     m = len(arcs)
@@ -126,9 +110,9 @@ def kelly_decomposition(d: Digraph) -> list[tuple] | None:
     """Partition a regular tournament's arcs into (n-1)/2 Hamilton cycles."""
     n = d.n
     if not d.is_tournament():
-        raise NotRegularError("kelly decomposition needs a tournament")
+        raise CombenchError("kelly decomposition needs a tournament")
     if n % 2 == 0 or any(d.out_degree(v) != (n - 1) // 2 for v in range(n)):
-        raise NotRegularError("tournament must be regular (n odd)")
+        raise CombenchError("tournament must be regular (n odd)")
     if n == 1:
         return []
     full = (1 << n) - 1
@@ -181,7 +165,7 @@ def disjoint_cycles(d: Digraph, k: int) -> list[tuple] | None:
     Digons count as cycles when present; otherwise cycles have >= 3 vertices.
     """
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise CombenchError("k must be >= 0")
     has_digon = any(d.out[u] >> v & 1 and d.out[v] >> u & 1
                     for u, v in d.arcs() if u < v)
     min_len = 2 if has_digon else 3
@@ -216,11 +200,11 @@ def alpha_k(d: Digraph, k: int):
     """
     n = d.n
     if n < 2 * k + 1:
-        raise TooSmallError("need n >= 2k+1")
+        raise CombenchError("need n >= 2k+1")
     arcs = list(d.arcs())
     for v in range(n):
         if d.out_degree(v) < k or d.in_degree(v) < k:
-            raise InfeasibleError(f"vertex {v} lacks degree k in the host")
+            raise CombenchError(f"vertex {v} lacks degree k in the host")
     src, sink = 2 * n, 2 * n + 1
     net = flows.FlowNet(2 * n + 2)
     arc_edge = {}
@@ -242,7 +226,7 @@ def beta_k(d: Digraph, k: int):
     """Minimum arcs of a spanning k-arc-strong subdigraph, by maximizing the
     removable arc set with alpha_k as the optimality floor."""
     if flows.arc_strong_connectivity(d) < k:
-        raise NotKArcStrongError("host digraph is not k-arc-strong")
+        raise CombenchError("host digraph is not k-arc-strong")
     arcs = list(d.arcs())
     m = len(arcs)
     floor, _ = alpha_k(d, k)
@@ -305,14 +289,14 @@ def _deg_lower_bound(d: Digraph, k: int) -> int:
 def reversal_deg(d: Digraph, k: int) -> ReversalResult:
     """Minimum arc set whose reversal gives min in- and out-degree >= k."""
     if d.n < 2 * k + 1:
-        raise TooSmallError("need n >= 2k+1")
+        raise CombenchError("need n >= 2k+1")
     return _reversal_search(d, k, _deg_lower_bound, "min-degree-k")
 
 
 def reversal_arc_strong(d: Digraph, k: int) -> ReversalResult:
     """Minimum arc set whose reversal gives a k-arc-strong tournament."""
     if d.n < 2 * k + 1:
-        raise TooSmallError("need n >= 2k+1")
+        raise CombenchError("need n >= 2k+1")
 
     def lb(t: Digraph, kk: int) -> int:
         return max(kk - flows.arc_strong_connectivity(t), _deg_lower_bound(t, kk), 0)
@@ -352,7 +336,7 @@ def _reversal_search(d: Digraph, k: int, lower_bound, tag: str) -> ReversalResul
         got = dfs(d.copy(), budget, 0, [])
         if got is not None:
             return ReversalResult(got, _reverse_arcs(d, got), tag)
-    raise InfeasibleError("no reversal set found")  # cannot happen for tournaments
+    raise CombenchError("no reversal set found")  # cannot happen for tournaments
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +352,7 @@ def is_path_mergeable(d: Digraph) -> bool:
     """Definition check: every two internally disjoint (x,y)-paths merge into
     one (x,y)-path on the union of their vertex sets. Desk scale (n <= 10)."""
     if d.n > 12:
-        raise TooSmallError("definition check is exponential; n <= 12 only")
+        raise CombenchError("definition check is exponential; n <= 12 only")
     for x in range(d.n):
         for y in range(d.n):
             if x == y:
@@ -422,9 +406,9 @@ def partition_into_k_strong(d: Digraph, t: int, k: int, roots=None):
     optionally with root x_i in part i.  Exhaustive search."""
     n = d.n
     if t < 1:
-        raise ValueError("t >= 1")
+        raise CombenchError("t >= 1")
     if roots is not None and len(roots) != t:
-        raise ValueError("need exactly t roots")
+        raise CombenchError("need exactly t roots")
     parts = [0] * t
     if roots is not None:
         for i, r in enumerate(roots):

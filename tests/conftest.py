@@ -34,6 +34,14 @@ def random_tournament(rng, n):
 # named constructions that only tests use
 
 
+def relabel(g: Graph, perm) -> Graph:
+    """New graph with vertex v renamed perm[v]."""
+    h = Graph(g.n)
+    for u, v in g.edges():
+        h.add_edge(perm[u], perm[v])
+    return h
+
+
 def empty_graph(n: int) -> Graph:
     return Graph(n)
 

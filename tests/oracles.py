@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 from math import factorial, gcd
 
 from combench.canon import canonical_form, canonical_form_digraph
-from combench.cycles import DisconnectedError
+from combench import CombenchError
 from combench.generate import (_insert_edge_pair, _irreducible_unions,
                                _orbit_reps, labeled_cubic_count)
 from combench.graphs import Digraph, Graph, bits, complete_graph, is_connected
@@ -156,7 +156,7 @@ def brute_force_width(elements: list[int]) -> int:
 def spanning_tree_dimension_oracle(g: Graph) -> int:
     """|E| - |V| + 1, the GF(2) cycle-space dimension of a connected graph."""
     if not is_connected(g):
-        raise DisconnectedError
+        raise CombenchError("cycle space dimension defined for connected graphs")
     return g.edge_count() - g.n + 1
 
 

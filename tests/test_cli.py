@@ -1,9 +1,14 @@
+import dataclasses
 import json
+import random
+import time
 
 import pytest
 
-from combench import registry
+from combench import CombenchError, registry
 from combench.cli import main
+from combench.generate import GenSpec
+from combench.graphs import from_digraph6, from_graph6, to_digraph6, to_graph6
 
 
 def test_list_problems_registry():
@@ -35,11 +40,12 @@ def test_run_report_determinism():
 
 
 def test_run_validates():
-    with pytest.raises(registry.UnknownProblem):
+    with pytest.raises(CombenchError, match="unknown problem id") as exc:
         registry.run("sec99.nothing")
-    with pytest.raises(registry.BadParams):
+    assert exc.value.exit_code == 3
+    with pytest.raises(CombenchError, match="unknown parameter 'bogus'"):
         registry.run("sec11.families.katona", {"bogus": 1})
-    with pytest.raises(registry.BadParams):
+    with pytest.raises(CombenchError, match="parameter n: invalid literal"):
         registry.run("sec11.families.katona", {"n": "x"})
 
 
@@ -52,6 +58,8 @@ def test_cli_exit_codes(capsys, tmp_path):
     # bad input exits 2 with a one-line message, never a traceback
     capsys.readouterr()
     missing = tmp_path / "missing.txt"
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
     for argv in (["gen", "--spec", "{bad"],
                  ["gen", "--spec", "3"],
                  ["gen", "--spec", '{"bogus": 1}'],
@@ -90,7 +98,18 @@ def test_cli_exit_codes(capsys, tmp_path):
                   "--params", '{"trials": 0}'],
                  ["des", "avoid", "--file", str(missing)],
                  ["des", "dom3", "--file", str(missing)],
-                 ["ext", "ramsey", "--file", str(missing)]):
+                 ["ext", "ramsey", "--file", str(missing)],
+                 ["gen", "--spec", '{"n": "x"}'],
+                 ["gen", "--spec", '{"n": 3.5}'],
+                 ["gen", "--spec", '{"n": 3, "max_degree": "a"}'],
+                 ["ext", "ramsey", "--file", str(listed)],
+                 ["des", "dom3", "--file", str(listed)],
+                 ["ext", "turan", "--n", "0"],
+                 ["ext", "turan", "--n", "-1"],
+                 ["ext", "turan", "--cycle", "2"],
+                 ["ext", "turan", "--clique", "1"],
+                 ["run", "--id", "sec11.families.katona",
+                  "--params", '{"n": true, "k": 1}']):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
@@ -117,6 +136,65 @@ def test_cli_run_int_params_at_zero_and_below(capsys):
                 if code != (0 if value >= minimum else 2):
                     bad.append((entry.id, name, value, code, err))
     assert bad == []
+
+
+def test_cli_rejects_fuzzed_input(capsys, tmp_path):
+    """Seeded inputs of the wrong shape or type: every call returns or exits
+    2 or 3 with one error line, no exception escapes main, and the whole
+    scan stays fast because each bad input is rejected before any work."""
+    rng = random.Random(0)
+    start = time.perf_counter()
+    argvs = []
+    # graph6 / digraph6 strings near the right length, over bytes 60..127
+    # (63..126 are valid); a string a decoder accepts re-encodes to itself
+    for decode, encode, prefix, verb in (
+            (from_graph6, to_graph6, "", ["color", "chromatic", "--graph6"]),
+            (from_digraph6, to_digraph6, "&", ["tour", "kelly"])):
+        for _ in range(150):
+            n = rng.randrange(9)
+            nbits = n * n if prefix else n * (n - 1) // 2
+            size = max(0, (nbits + 5) // 6 + rng.choice((-1, 0, 0, 1)))
+            text = prefix + chr(63 + n) + "".join(
+                chr(rng.randrange(60, 128)) for _ in range(size))
+            try:
+                obj = decode(text)
+            except CombenchError:
+                pass
+            else:
+                assert encode(obj) == text
+            argvs.append(verb + [text])
+    # wrong-typed values for every registry parameter
+    wrong = ("true", "null", "[]", '"x"', "1e400", "2.5")
+    rejected = []
+    for entry in registry.list_problems():
+        for name, (typ, _, _) in entry.params.items():
+            rejected += [["run", "--id", entry.id, "--params",
+                          f'{{"{name}": {raw}}}']
+                         for raw in wrong if type(json.loads(raw)) is not typ]
+    argvs += rejected
+    # wrong-typed GenSpec fields
+    for field in dataclasses.fields(GenSpec):
+        argvs += [["gen", "--spec", f'{{"n": {raw}}}' if field.name == "n"
+                   else f'{{"n": 3, "{field.name}": {raw}}}'] for raw in wrong]
+    # JSON files that hold no object
+    for i in range(40):
+        value = rng.choice((rng.randrange(-9, 10), rng.random(), "1,2,3",
+                            None, True, [rng.randrange(9)] * rng.randrange(4)))
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(value))
+        verb = rng.choice((["ext", "ramsey"], ["des", "dom3"]))
+        argvs.append(verb + ["--file", str(path)])
+    assert len(argvs) > 500
+    for argv in argvs:
+        code = main(argv)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "", argv
+        else:
+            assert code in (2, 3), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert code == 2 or argv not in rejected, argv
+    assert time.perf_counter() - start < 5
 
 
 def test_cli_run_payload(capsys):

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import combench
-from combench.coloring import (BadPattern, BadPrecolouring, Coloring,
-                               PreconditionUnmet, arrows_vertex,
+from combench import CombenchError
+from combench.coloring import (Coloring, arrows_vertex,
                                chord_diagram_from_word, chromatic_number,
                                circle_graph, ChordDiagram,
                                edge_chromatic_class, equitable_coloring,
@@ -109,7 +109,7 @@ def test_equitable_examples():
     assert sorted(col.class_sizes()) == [1, 1, 1, 1, 1, 1]
     col = equitable_coloring(cycle_graph(7), 3)
     assert sorted(col.class_sizes()) == [2, 2, 3]
-    with pytest.raises(PreconditionUnmet):
+    with pytest.raises(CombenchError, match="need Delta < k"):
         equitable_coloring(complete_graph(5), 3)
 
 
@@ -123,15 +123,6 @@ def test_equitable_random_large(rng):
     col = equitable_coloring(g, 6)
     assert is_proper(g, col.assignment) and is_equitable(col)
     assert col.class_sizes() == [10] * 6
-
-
-def test_equitable_ore_fallback():
-    # theta(C5) = 4 < 2k for k = 3; Delta < k already holds too, so force
-    # the exact path with a K4 plus pendant (Delta = 4, theta = 7 < 8)
-    g = complete_graph(4)
-    g = Graph(5, list(g.edges()) + [(0, 4)])
-    col = equitable_coloring(g, 4, allow_ore=True)
-    assert is_proper(g, col.assignment) and is_equitable(col)
 
 
 def test_equitable_replay_check_survives_optimize():
@@ -230,9 +221,9 @@ def test_pendant_precoloring():
     precol = {e: i for i, e in enumerate(pend)}
     got = extend_pendant_precoloring(star, precol, 3)
     assert got is not None and len(got) == 3
-    with pytest.raises(BadPrecolouring):
+    with pytest.raises(CombenchError, match="share a colour"):
         extend_pendant_precoloring(star, {pend[0]: 0, pend[1]: 0}, 4)
-    with pytest.raises(BadPrecolouring):
+    with pytest.raises(CombenchError, match="is not a pendant edge"):
         extend_pendant_precoloring(complete_graph(4), {(0, 1): 0}, 5)
 
 
@@ -251,9 +242,9 @@ def test_shift_graphs():
     assert g2.n == 15 and chromatic_number(g2) >= 2
     g3 = shift_graph_cyclic(6, 3, "XOXOXO")
     assert g3.n == 20
-    with pytest.raises(BadPattern):
+    with pytest.raises(CombenchError, match="invalid for r=2"):
         shift_graph_cyclic(6, 2, "XXXO")
-    with pytest.raises(BadPattern):
+    with pytest.raises(CombenchError, match="r must be 2 or 3"):
         shift_graph_cyclic(6, 4, "XOXOXOXO")
 
 

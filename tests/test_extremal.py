@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from combench.extremal import (BadDivisibility, bipartization_cost,
+from combench import CombenchError
+from combench.extremal import (bipartization_cost,
                                forbidden_free, hyper_ramsey_witness,
                                is_l_ham_saturated, is_l_hamiltonian, max_cut,
                                sat_search, turan_number)
@@ -50,7 +51,7 @@ def test_l_hamiltonian():
                     k=2)
     assert is_l_hamiltonian(c6, 1)
     assert not is_l_ham_saturated(c6, 1)
-    with pytest.raises(BadDivisibility):
+    with pytest.raises(CombenchError, match=r"need \(k-l\) \| n"):
         is_l_hamiltonian(Hypergraph(5, [], k=3), 1)  # (k-l) must divide n
 
 

@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 import combench
+from combench import CombenchError
 from combench.families import (independence_complex, katona_bound,
                                layer_profile, max_family, milner_bound,
                                random_graph_width, width_independence_complex,
                                width_of_complex)
 from combench.graphs import complete_graph, cycle_graph, path_graph
-from combench.structure import TooLargeError
 from conftest import empty_graph, random_graph
 from oracles import brute_force_width
 
@@ -66,7 +66,7 @@ def test_kleitman_diameter_matches_katona_small():
 
 
 def test_too_large_guard():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(CombenchError, match="compatibility clique search"):
         max_family(11)
 
 
