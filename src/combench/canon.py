@@ -16,6 +16,12 @@ whose (path invariant, adjacency string) is lexicographically greatest.
   minus the out-degree, so the canonical-last vertex has maximum score.
   ``generate`` relies on both to skip children whose new vertex cannot be
   canonical-last.
+* For the same reason the canonical-last vertex, and so its whole orbit,
+  lies in the last cell of the root's equitable partition (after the
+  regular-graph seed colouring below).  ``canonical_form(..., last=v)``
+  returns None before any descent when v is outside that cell, and
+  otherwise searches on from the same root; ``generate`` rejects most
+  children this way without a search.
 * Each refinement records a trace, one entry (cell index, sorted split
   keys, part sizes) per split.  A node's path invariant is the sequence of
   traces from the root, so comparing nodes costs nothing beyond the
@@ -200,7 +206,11 @@ class _Search:
             out += row.to_bytes(nbytes, "little")
         return bytes(out)
 
-    def run(self):
+    def run(self, last: int | None = None) -> bool:
+        """Refine the root partition and search below it.  With ``last``
+        given, stop before any descent, and return False, when ``last`` lies
+        outside the root's last cell: cells only subdivide in place, so
+        that cell holds the canonical-last vertex and its whole orbit."""
         cells, trace = _refine(self.rows_out, self.rows_in, self.base,
                                [_mask(c) for c in self.base])
         if self.rows_in is None and len(cells) == 1:
@@ -215,7 +225,10 @@ class _Search:
                 cells, more = _refine(self.rows_out, None, parts,
                                       [_mask(p) for p in parts])
                 trace += ((0, tuple(keys), tuple(map(len, parts))),) + more
+        if last is not None and last not in cells[-1]:
+            return False
         self.descend(cells, [trace], [])
+        return True
 
     def record_leaf(self, cells, path_inv, path):
         order = [c[0] for c in cells]
@@ -281,11 +294,13 @@ class _Search:
             self.descend(refined, path_inv + [trace], path + [v])
 
 
-def _canon(n: int, rows_out, rows_in, colors) -> CanonicalForm:
+def _canon(n: int, rows_out, rows_in, colors,
+           last: int | None) -> CanonicalForm | None:
     if n == 0:
         return CanonicalForm(b"", 1, [], [], [])
     search = _Search(n, rows_out, rows_in, colors)
-    search.run()
+    if not search.run(last):
+        return None
     order = search.best_label
     labeling = [0] * n
     for i, v in enumerate(order):
@@ -303,12 +318,18 @@ def _canon(n: int, rows_out, rows_in, colors) -> CanonicalForm:
     return CanonicalForm(bytes(search.best_cert), aut, labeling, orbits, gens)
 
 
-def canonical_form(g: Graph, colors=None) -> CanonicalForm:
-    return _canon(g.n, g.adj, None, colors)
+def canonical_form(g: Graph, colors=None,
+                   last: int | None = None) -> CanonicalForm | None:
+    """The canonical form of g; with ``last`` given, None instead when the
+    root refinement already shows that ``last`` is not in the orbit of the
+    canonical-last vertex."""
+    return _canon(g.n, g.adj, None, colors, last)
 
 
-def canonical_form_digraph(d: Digraph, colors=None) -> CanonicalForm:
-    return _canon(d.n, d.out, d.inn, colors)
+def canonical_form_digraph(d: Digraph, colors=None,
+                           last: int | None = None) -> CanonicalForm | None:
+    """canonical_form for a digraph."""
+    return _canon(d.n, d.out, d.inn, colors, last)
 
 
 def certificate(g: Graph) -> bytes:

@@ -41,6 +41,27 @@ def _json_object(text: str, what: str) -> dict:
     return obj
 
 
+def _triple_file(path: str, n: int | None) -> dict[tuple[int, ...], object]:
+    """The --file JSON object as a map from sorted vertex triples to its
+    values.  Each key must be "u,v,w": three distinct vertices in range(n),
+    or any three distinct non-negative vertices when n is None, and no two
+    keys may name the same triple."""
+    out = {}
+    for key, value in _json_object(Path(path).read_text(), "--file").items():
+        parts = key.split(",")
+        tri = tuple(sorted(int(x) for x in parts if x.strip().isdecimal()))
+        if len(parts) != 3 or len(set(tri)) != 3 or (
+                n is not None and tri[2] >= n):
+            what = (f"vertices in 0..{n - 1}" if n is not None
+                    else "non-negative vertices")
+            raise CombenchError(f"--file key {key!r} is not three distinct "
+                                f"{what}")
+        if tri in out:
+            raise CombenchError(f"--file names the triple {tri} twice")
+        out[tri] = value
+    return out
+
+
 def _cmd_run(args) -> int:
     params = _json_object(args.params, "--params") if args.params else {}
     print(registry.run(args.id, params, seed=args.seed).to_json())
@@ -269,12 +290,12 @@ def _cmd_ext(args) -> int:
                           "k_r_free_for": rec["k_r_free_for"]}))
     elif args.verb == "ramsey":
         # colouring file: JSON map "u,v,w" -> "red" | "blue"
-        colors = _json_object(Path(args.file).read_text(), "--file")
-        red = set()
-        for key, col in colors.items():
-            tri = tuple(sorted(int(x) for x in key.split(",")))
-            if col == "red":
-                red.add(tri)
+        colors = _triple_file(args.file, args.n)
+        bad = [col for col in colors.values() if col not in ("red", "blue")]
+        if bad:
+            raise CombenchError(f"--file colour {bad[0]!r} is not "
+                                f"\"red\" or \"blue\"")
+        red = {tri for tri, col in colors.items() if col == "red"}
         verdict = hyper_ramsey_witness(args.n, red, args.t)
         print(json.dumps({"verdict": verdict[0] if verdict else None,
                           "witness": verdict[1] if verdict else None}))
@@ -292,10 +313,14 @@ def _cmd_des(args) -> int:
         square = avoid_latin(AvoidArray(entries))
         print(json.dumps(square))
     elif args.verb == "dom3":
-        # JSON map "a,b,c" (sorted triple) -> root vertex
-        raw = _json_object(Path(args.file).read_text(), "--file")
-        roots = {tuple(sorted(int(x) for x in key.split(","))): int(v)
-                 for key, v in raw.items()}
+        # JSON map "a,b,c" -> root vertex, one of a, b and c
+        roots = _triple_file(args.file, None)
+        if not roots:
+            raise CombenchError("--file names no triple")
+        for tri, root in roots.items():
+            if type(root) is not int or root not in tri:
+                raise CombenchError(f"--file root {root!r} of {tri} is not "
+                                    f"one of its vertices")
         n = 1 + max(max(t) for t in roots)
         t3 = ThreeTournament(n, roots)
         d, mask = dom_3tournament(t3)

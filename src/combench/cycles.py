@@ -72,12 +72,14 @@ def count_cycles_of_length(g: Graph, length: int) -> int:
                                        length, length)) // 2
 
 
-def simple_cycles(g: Graph):
-    """Yield every simple cycle once, as a vertex tuple starting at its
-    least vertex with the smaller neighbor second."""
+def simple_cycles(g: Graph, length: int | None = None):
+    """Yield every simple cycle once, or every one with ``length`` vertices
+    when given, as a vertex tuple starting at its least vertex with the
+    smaller neighbor second."""
     full = (1 << g.n) - 1
+    lo, hi = (3, g.n) if length is None else (length, length)
     for s in range(g.n):
-        for cyc in cycles_through(g.adj, s, full & -2 << s):
+        for cyc in cycles_through(g.adj, s, full & -2 << s, lo, hi):
             if cyc[1] < cyc[-1]:
                 yield cyc
 
@@ -316,17 +318,19 @@ def cycle_space_dimension(g: Graph, p: int) -> int:
     """Rank over GF(p) (or Q for p=0) of the span of the characteristic
     vectors of all simple cycles.
 
-    Early exit at |E| (and at |E|-|V|+1 for p=2, the classical ceiling).
-    May enumerate every simple cycle when the bound is not met, which is
-    fine at desk scale.
+    The cycles are read shortest first, by length 3, 4, ..., n, since
+    short cycles reach the early exit at |E| (at |E|-|V|+1 for p=2, the
+    classical ceiling) after far fewer rows.  May enumerate every simple
+    cycle when the bound is not met, which is fine at desk scale.
     """
     if not is_connected(g):
         raise CombenchError("cycle space dimension defined for connected graphs")
     _check_field(p)
     eb = _edge_bits(g)
     m = g.edge_count()
-    return _rank((_cycle_mask(cyc, eb) for cyc in simple_cycles(g)), m, p,
-                 m - g.n + 1 if p == 2 else m)
+    masks = (_cycle_mask(cyc, eb) for length in range(3, g.n + 1)
+             for cyc in simple_cycles(g, length))
+    return _rank(masks, m, p, m - g.n + 1 if p == 2 else m)
 
 
 # ---------------------------------------------------------------------------

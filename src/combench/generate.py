@@ -7,8 +7,12 @@ Three engines:
   by hereditary predicates (max degree, max edges, bipartite).  The
   canonical-last vertex has maximum degree (see canon), so only neighbour
   masks that give the new vertex maximum degree are tried (the filter of
-  McKay's geng).  Each unconstrained level certifies its completeness:
-  sum(k!/|Aut(G)|) over its classes must equal 2^C(k,2), else RuntimeError;
+  McKay's geng).  A child whose new vertex lies outside the last cell of
+  its root partition is rejected before any canonical search, and each
+  level keeps its classes' automorphism generators for the next, so a full
+  canonical search runs only for the children that can be kept.  Each
+  unconstrained level certifies its completeness: sum(k!/|Aut(G)|) over its
+  classes must equal 2^C(k,2), else RuntimeError;
 * cubic graphs: canonical augmentation by edge insertion (subdivide two
   distinct edges, join the new vertices u and v), with no dict of
   certificates.  Each parent inserts one unordered edge pair per orbit of
@@ -108,51 +112,62 @@ def _candidates(rows, flip: int) -> list[int]:
 
 def _augment(level, k: int, form, rows, flip: int, build,
              certify: str | None):
-    """Order k of a catalog from its order k - 1 (``level``) by canonical
-    augmentation by a vertex.
+    """Order k of a catalog from its order k - 1 by canonical augmentation
+    by a vertex.
 
-    Each parent tries one candidate mask per orbit of its automorphism
-    group; ``build(parent, mask)`` returns the child, with the new vertex
-    last, or None when a constraint rejects it.  A child is kept iff its new
-    vertex lies in the orbit of its canonical-last vertex, so each class
-    comes from exactly one parent and one orbit (McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 26, 1998).  When ``certify`` names
-    the catalog, the level must pass sum(k!/|Aut|) = 2^C(k,2), else
+    ``level`` holds (parent, generators of Aut(parent)) pairs, and so does
+    the result, so no parent is canonicalised again.  Each parent tries one
+    candidate mask per orbit of its group; ``build(parent, mask)`` returns
+    the child, with the new vertex last, or None when a constraint rejects
+    it.  A child is kept iff its new vertex lies in the orbit of its
+    canonical-last vertex, so each class comes from exactly one parent and
+    one orbit (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+    26, 1998).  ``form(child, last=k - 1)`` is None when the root refinement
+    already rules the new vertex out (see canon), so a full canonical search
+    runs only for the children that can be kept.  When ``certify`` names the
+    catalog, the level must pass sum(k!/|Aut|) = 2^C(k,2), else
     RuntimeError.  The level comes back sorted by certificate.
     """
     out = []
     labeled = 0
-    for parent in level:
-        for mask in _orbit_reps(_candidates(rows(parent), flip),
-                                form(parent).generators):
+    for parent, gens in level:
+        for mask in _orbit_reps(_candidates(rows(parent), flip), gens):
             child = build(parent, mask)
             if child is None:
                 continue
-            cf = form(child)
-            if cf.orbits[k - 1] == cf.orbits[cf.labeling.index(k - 1)]:
-                out.append((cf.bytes, child))
+            cf = form(child, last=k - 1)
+            if cf is not None and \
+                    cf.orbits[k - 1] == cf.orbits[cf.labeling.index(k - 1)]:
+                out.append((cf.bytes, child, cf.generators))
                 labeled += factorial(k) // cf.aut_order
     if certify and labeled != 1 << comb(k, 2):
         raise RuntimeError(f"{certify} on {k} vertices fail the completeness "
                            f"certificate: {labeled} labelled, expected "
                            f"{1 << comb(k, 2)}")
     out.sort(key=lambda t: t[0])
-    return [c for _, c in out]
+    return [(c, gens) for _, c, gens in out]
+
+
+def _adj_child(parent: Graph, mask: int) -> Graph:
+    """``parent`` plus a last vertex adjacent to the vertices in ``mask``."""
+    k = parent.n + 1
+    child = Graph(k)
+    child.adj = list(parent.adj) + [mask]
+    for v in bits(mask):
+        child.adj[v] |= 1 << (k - 1)
+    return child
 
 
 def graphs_upto(n: int, max_degree: int | None = None,
                 max_edges: int | None = None,
                 bipartite_only: bool = False,
-                final_regular: int | None = None,
-                base: tuple[Graph, ...] | None = None) -> dict[int, list[Graph]]:
+                final_regular: int | None = None) -> dict[int, list[Graph]]:
     """All graphs on 1..n vertices up to isomorphism, one list per order.
 
     The constraints must be hereditary under vertex deletion, which max
     degree, max edge count and bipartiteness are.  ``final_regular`` adds
     admissible completability pruning for the target order n (used by the
-    independent oracle for cubic generation).  ``base``, when given, is the
-    complete level of some order m < n under the same constraints; the
-    levels m+1..n are built from it, and only those are returned.
+    independent oracle for cubic generation).
     """
     certify = (max_degree is None and max_edges is None and not bipartite_only
                and final_regular is None)
@@ -166,12 +181,7 @@ def graphs_upto(n: int, max_degree: int | None = None,
                 return None
         if max_edges is not None and parent.edge_count() + mask.bit_count() > max_edges:
             return None
-        k = parent.n + 1
-        child = Graph(k)
-        child.adj = list(parent.adj) + [0]
-        for v in bits(mask):
-            child.adj[v] |= 1 << (k - 1)
-            child.adj[k - 1] |= 1 << v
+        child = _adj_child(parent, mask)
         if bipartite_only and not is_bipartite(child):
             return None
         if final_regular is not None and not _regular_completable(
@@ -179,12 +189,12 @@ def graphs_upto(n: int, max_degree: int | None = None,
             return None
         return child
 
-    level = [Graph(1)] if base is None else list(base)
-    levels: dict[int, list[Graph]] = {1: level} if base is None else {}
-    for k in range(level[0].n + 1, n + 1):
-        level = levels[k] = _augment(level, k, canonical_form,
-                                     lambda g: g.adj, 0, build,
-                                     "graphs" if certify else None)
+    level = [(Graph(1), ())]
+    levels = {1: [level[0][0]]}
+    for k in range(2, n + 1):
+        level = _augment(level, k, canonical_form, lambda g: g.adj, 0, build,
+                         "graphs" if certify else None)
+        levels[k] = [g for g, _ in level]
     return levels
 
 
@@ -201,17 +211,22 @@ def _regular_completable(g: Graph, n_target: int, r: int) -> bool:
     return (deficiency + r * rem) % 2 == 0
 
 
-def all_graphs(n: int) -> list[Graph]:
-    return graphs_upto(n)[n]
+@lru_cache(maxsize=None)
+def _graph_level(n: int) -> tuple[tuple[Graph, list], ...]:
+    """all_graphs_cached(n), each graph with its automorphism generators,
+    built from the cached level n - 1 (see _augment)."""
+    if n < 2:
+        return ((Graph(1), ()),) if n == 1 else ()
+    return tuple(_augment(_graph_level(n - 1), n, canonical_form,
+                          lambda g: g.adj, 0, _adj_child, "graphs"))
 
 
 @lru_cache(maxsize=None)
 def all_graphs_cached(n: int) -> tuple[Graph, ...]:
-    """Memoized all_graphs, each order built once per process from the
-    cached order below it; heavy shared input for the checker suites."""
-    if n <= 1:
-        return tuple(all_graphs(n))
-    return tuple(graphs_upto(n, base=all_graphs_cached(n - 1))[n])
+    """All graphs on n vertices up to isomorphism, sorted by certificate,
+    each order built once per process from the cached order below it;
+    heavy shared input for the checker suites."""
+    return tuple(g for g, _ in _graph_level(n))
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +485,21 @@ def _beat_child(parent: Digraph, beats: int) -> Digraph:
 
 
 @lru_cache(maxsize=None)
+def _tournament_level(n: int) -> tuple[tuple[Digraph, list], ...]:
+    """tournaments(n), each with its automorphism generators, built from
+    the cached level n - 1 (see _augment)."""
+    if n < 2:
+        return ((Digraph(1), ()),) if n == 1 else ()
+    return tuple(_augment(_tournament_level(n - 1), n, canonical_form_digraph,
+                          lambda d: d.out, (1 << (n - 1)) - 1, _beat_child,
+                          "tournaments"))
+
+
+@lru_cache(maxsize=None)
 def tournaments(n: int) -> tuple[Digraph, ...]:
     """All tournaments on n vertices up to isomorphism, sorted by
     certificate; each order is certified complete (see _augment)."""
-    if n < 1:
-        return ()
-    if n == 1:
-        return (Digraph(1),)
-    return tuple(_augment(tournaments(n - 1), n, canonical_form_digraph,
-                          lambda d: d.out, (1 << (n - 1)) - 1, _beat_child,
-                          "tournaments"))
+    return tuple(t for t, _ in _tournament_level(n))
 
 
 def regular_tournaments(n: int) -> tuple[Digraph, ...]:

@@ -1,11 +1,9 @@
-"""Bootstrap percolation: deterministic monotone closure under the
-strict-majority or r-neighbour rule, plus seeded Monte Carlo estimates of
-full infection and threshold sweeps.
+"""Bootstrap percolation on square grids under the 2-neighbour rule:
+seeded Monte Carlo estimates of full infection and threshold sweeps.
 
-The generic engine works on any Graph.  Square grids under the 2-neighbour
-rule additionally get a packed-bitboard engine (the whole padded grid lives
-in one Python int and a round is a handful of shifted masks), which is what
-makes the n=128 sweeps affordable.
+The closure runs on a packed bitboard (the whole padded grid lives in one
+Python int and a round is a handful of shifted masks), which is what makes
+the n=128 sweeps affordable.
 
 Grid seeds replay ``rng.random() < p`` cell by cell without calling it.
 CPython's ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` for two
@@ -34,48 +32,6 @@ import random
 from dataclasses import dataclass, field
 
 from . import CombenchError
-from .graphs import Graph
-
-
-@dataclass
-class PercRule:
-    kind: str       # "majority" | "threshold"
-    r: int = 0      # threshold value for the threshold rule
-
-    def needed(self, degree: int) -> int:
-        if self.kind == "majority":
-            # strictly more than half; degree-0 vertices never convert
-            return degree // 2 + 1
-        if self.kind == "threshold":
-            return self.r
-        raise CombenchError(f"unknown rule {self.kind!r}")
-
-
-MAJORITY = PercRule("majority")
-
-
-def threshold_rule(r: int) -> PercRule:
-    return PercRule("threshold", r)
-
-
-def percolate(g: Graph, rule: PercRule, infected: int):
-    """(closure mask, rounds): synchronous sweeps to the least fixed point."""
-    need = [rule.needed(g.adj[v].bit_count()) for v in range(g.n)]
-    cur = infected
-    rounds = 0
-    while True:
-        new = cur
-        for v in range(g.n):
-            if not cur >> v & 1 and (g.adj[v] & cur).bit_count() >= max(need[v], 1):
-                new |= 1 << v
-        if new == cur:
-            return cur, rounds
-        cur = new
-        rounds += 1
-
-
-# ---------------------------------------------------------------------------
-# packed-grid engine
 
 
 class GridFamily:

@@ -2,6 +2,7 @@
 enumeration and scalar loops that the shipped fast paths must agree with."""
 
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial, gcd
@@ -11,7 +12,6 @@ from combench import CombenchError
 from combench.generate import (_insert_edge_pair, _irreducible_unions,
                                _orbit_reps, labeled_cubic_count)
 from combench.graphs import Digraph, Graph, bits, complete_graph, is_connected
-from combench.perc import PercRule, percolate, threshold_rule
 from combench.structure import edges_inside, max_clique
 from conftest import grid_graph
 
@@ -98,6 +98,45 @@ def seed_mask_scalar(fam, rng: random.Random, p: float) -> int:
             if rng.random() < p:
                 m |= 1 << (base + c)
     return m
+
+
+@dataclass
+class PercRule:
+    kind: str       # "majority" | "threshold"
+    r: int = 0      # threshold value for the threshold rule
+
+    def needed(self, degree: int) -> int:
+        if self.kind == "majority":
+            # strictly more than half; degree-0 vertices never convert
+            return degree // 2 + 1
+        if self.kind == "threshold":
+            return self.r
+        raise ValueError(f"unknown rule {self.kind!r}")
+
+
+MAJORITY = PercRule("majority")
+
+
+def threshold_rule(r: int) -> PercRule:
+    return PercRule("threshold", r)
+
+
+def percolate(g: Graph, rule: PercRule, infected: int):
+    """(closure mask, rounds) of bootstrap percolation on any graph:
+    synchronous sweeps to the least fixed point.  The generic engine the
+    packed grid closure is checked against."""
+    need = [rule.needed(g.adj[v].bit_count()) for v in range(g.n)]
+    cur = infected
+    rounds = 0
+    while True:
+        new = cur
+        for v in range(g.n):
+            if not cur >> v & 1 and (g.adj[v] & cur).bit_count() >= max(need[v], 1):
+                new |= 1 << v
+        if new == cur:
+            return cur, rounds
+        cur = new
+        rounds += 1
 
 
 def percolate_rounds_oracle(g: Graph, rule: PercRule, infected: int):

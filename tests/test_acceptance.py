@@ -260,7 +260,7 @@ def test_ac14_property_suites(rng):
     from combench.families import independence_complex, width_of_complex
     from combench.graphs import Graph
     from conftest import grid_graph
-    from combench.perc import percolate, threshold_rule
+    from oracles import percolate, threshold_rule
     from combench.coloring import (arrows_vertex, equitable_coloring,
                                    is_equitable, is_proper)
     from combench.graphs import star_graph

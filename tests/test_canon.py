@@ -2,7 +2,7 @@ from math import factorial
 
 from combench.canon import (_cycle_key, canonical_form,
                             canonical_form_digraph, certificate)
-from combench.generate import all_graphs, cubic_graphs_all, tournaments
+from combench.generate import all_graphs_cached, cubic_graphs_all, tournaments
 from combench.graphs import (Digraph, Graph, complete_bipartite,
                              complete_graph, cycle_graph, disjoint_union,
                              petersen_graph, rotational_tournament)
@@ -44,7 +44,7 @@ def test_aut_order_matches_brute_force(rng):
         g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
         assert canonical_form(g).aut_order == brute_force_aut_order(g)
     for n in range(1, 7):
-        for g in all_graphs(n):
+        for g in all_graphs_cached(n):
             assert canonical_form(g).aut_order == brute_force_aut_order(g)
     # vertex-coloured inputs (hypergraph incidence certificates use them)
     for _ in range(60):
@@ -174,9 +174,9 @@ def test_colored_canonical_separates():
 
 
 def test_labeled_count_identity_small():
-    from combench.generate import all_graphs
+    from combench.generate import all_graphs_cached
 
     for n in range(1, 7):
         total = sum(factorial(n) // canonical_form(g).aut_order
-                    for g in all_graphs(n))
+                    for g in all_graphs_cached(n))
         assert total == 2 ** (n * (n - 1) // 2)

@@ -60,6 +60,28 @@ def test_cli_exit_codes(capsys, tmp_path):
     missing = tmp_path / "missing.txt"
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
+    # triple files with a malformed key or value
+    files = {}
+    for name, obj in (("null_root", {"0,1,2": None}),
+                      ("pair_key", {"0,1": 0}),
+                      ("out_of_range", {"0,1,99": "red"}),
+                      ("bool_root", {"0,1,2": True}),
+                      ("outside_root", {"0,1,2": 5}),
+                      ("twice", {"0,1,2": 0, "2,1,0": 1}),
+                      ("repeated_vertex", {"0,1,1": 1}),
+                      ("negative", {"0,1,-2": 0}),
+                      ("word", {"0,1,x": "red"}),
+                      ("green", {"0,1,2": "green"}),
+                      ("empty", {})):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(obj))
+    file_probes = [["des", "dom3", "--file", str(files[name])]
+                   for name in ("null_root", "pair_key", "bool_root",
+                                "outside_root", "twice", "repeated_vertex",
+                                "negative", "word", "empty")]
+    file_probes += [["ext", "ramsey", "--file", str(files[name])]
+                    for name in ("null_root", "pair_key", "out_of_range",
+                                 "twice", "word", "green")]
     for argv in (["gen", "--spec", "{bad"],
                  ["gen", "--spec", "3"],
                  ["gen", "--spec", '{"bogus": 1}'],
@@ -109,7 +131,7 @@ def test_cli_exit_codes(capsys, tmp_path):
                  ["ext", "turan", "--cycle", "2"],
                  ["ext", "turan", "--clique", "1"],
                  ["run", "--id", "sec11.families.katona",
-                  "--params", '{"n": true, "k": 1}']):
+                  "--params", '{"n": true, "k": 1}'], *file_probes):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
@@ -176,14 +198,27 @@ def test_cli_rejects_fuzzed_input(capsys, tmp_path):
     for field in dataclasses.fields(GenSpec):
         argvs += [["gen", "--spec", f'{{"n": {raw}}}' if field.name == "n"
                    else f'{{"n": 3, "{field.name}": {raw}}}'] for raw in wrong]
-    # JSON files that hold no object
-    for i in range(40):
-        value = rng.choice((rng.randrange(-9, 10), rng.random(), "1,2,3",
-                            None, True, [rng.randrange(9)] * rng.randrange(4)))
+    # JSON files that hold no object, and objects whose key or value is
+    # malformed: a key of two or four vertices, a repeated, negative or
+    # out-of-range vertex, a word, or a value that is no colour or root
+    def value():
+        return rng.choice((rng.randrange(-9, 10), rng.random(), "1,2,3",
+                           None, True, [rng.randrange(9)] * rng.randrange(4)))
+
+    for i in range(80):
+        if i < 40:
+            content = value()
+        else:
+            key = rng.choice(("0,1", "0,1,2,3", "1,1,2", "0,-1,2", "0,1,99",
+                              "a,b,c", "0,1,2"))
+            content = {key: value() if key != "0,1,2" else
+                       rng.choice((None, True, 2.0, "0", "green", 7))}
         path = tmp_path / f"{i}.json"
-        path.write_text(json.dumps(value))
+        path.write_text(json.dumps(content))
         verb = rng.choice((["ext", "ramsey"], ["des", "dom3"]))
         argvs.append(verb + ["--file", str(path)])
+        if i >= 40:
+            rejected.append(argvs[-1])
     assert len(argvs) > 500
     for argv in argvs:
         code = main(argv)

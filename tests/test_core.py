@@ -275,11 +275,6 @@ def test_shipped_modules_hold_no_asserts_or_oracles():
 # Shipped top-level names and methods that no runner, verb or shipped caller
 # reaches, kept on purpose, with the reason.
 REACH_EXEMPT = {
-    "perc.percolate": "the generic closure on any Graph: the reference "
-                      "oracles.closure_equals_graph_engine checks the packed "
-                      "grid engine against",
-    "perc.threshold_rule": "builds the 2-neighbour rule for that reference",
-    "perc.PercRule": "the rule type that reference takes",
     "graphs.Digraph.in_row": "perfbench/spans.py wraps it for "
                              "graphs.in_row_calls",
 }

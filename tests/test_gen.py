@@ -7,9 +7,9 @@ import pytest
 
 from combench.canon import canonical_form, canonical_form_digraph, certificate
 from combench import CombenchError
-from combench.generate import (GenSpec, all_graphs,
-                               all_graphs_cached, connected_cubic_graphs,
-                               cubic_graphs_all, cyclically_4_edge_connected,
+from combench.generate import (GenSpec, all_graphs_cached,
+                               connected_cubic_graphs, cubic_graphs_all,
+                               cyclically_4_edge_connected,
                                generate, graphs_upto, labeled_cubic_count,
                                max_aut_3connected_cubic, regular_tournaments,
                                tournaments)
@@ -27,12 +27,12 @@ def test_graph_counts_match_polya():
         assert polya_graph_count(n) == count
     assert polya_graph_count(8) == 12346
     for n in range(1, 7):
-        assert len(all_graphs(n)) == polya_graph_count(n)
+        assert len(all_graphs_cached(n)) == polya_graph_count(n)
 
 
 def test_graph_generation_labeled_identity():
     for n in range(1, 7):
-        gs = all_graphs(n)
+        gs = all_graphs_cached(n)
         total = sum(factorial(n) // canonical_form(g).aut_order for g in gs)
         assert total == 2 ** (n * (n - 1) // 2)
 
@@ -42,7 +42,7 @@ def _digest(lines) -> str:
 
 
 def test_generated_graphs_distinct_and_ordered():
-    gs = all_graphs(6)
+    gs = all_graphs_cached(6)
     certs = [certificate(g) for g in gs]
     assert certs == sorted(certs)
     assert len(set(certs)) == len(certs)
@@ -175,34 +175,106 @@ def test_all_cubic_graphs_are_cubic_and_deduped():
 
 @pytest.fixture
 def fresh_tournaments():
-    """An empty tournament cache before and after the test, so catalogs
-    built under a patch do not outlive it."""
-    tournaments.cache_clear()
+    """Empty tournament caches before and after the test, so the test
+    counts every form from cold and catalogs built under a patch do not
+    outlive it."""
+    from combench import generate as gen
+
+    caches = (tournaments, gen._tournament_level)
+    for fn in caches:
+        fn.cache_clear()
     yield
-    tournaments.cache_clear()
+    for fn in caches:
+        fn.cache_clear()
 
 
 def test_tournament_counts(fresh_tournaments, monkeypatch):
     from combench import generate as gen
 
-    forms = 0
+    forms = searches = 0
 
-    def counted(d):
-        nonlocal forms
+    def counted(d, **kwargs):
+        nonlocal forms, searches
         forms += 1
-        return canonical_form_digraph(d)
+        cf = canonical_form_digraph(d, **kwargs)
+        searches += cf is not None
+        return cf
 
     monkeypatch.setattr(gen, "canonical_form_digraph", counted)
     assert [len(tournaments(n)) for n in range(1, 9)] == \
         [1, 1, 2, 4, 12, 56, 456, 6880]
-    # score filter and orbits: 12,288 forms to n = 8, parents' own forms
-    # included, where the dedupe generator computes 62,422
-    assert forms <= 12288
+    # score filter and orbits: 11,756 forms to n = 8, where the dedupe
+    # generator computes 62,422; the root-cell stop answers all but 7,415
+    # of them before any descent, against 7,411 classes kept
+    assert forms <= 11756
+    assert searches <= 7415
     monkeypatch.undo()
     for n in range(1, 7):
         total = sum(factorial(n) // canonical_form_digraph(t).aut_order
                     for t in tournaments(n))
         assert total == 2 ** (n * (n - 1) // 2)
+
+
+def _rejects(cf, last: int) -> bool:
+    """Whether the full form rejects a child whose new vertex is ``last``."""
+    return cf.orbits[last] != cf.orbits[cf.labeling.index(last)]
+
+
+def test_root_cell_stop_answers_for_the_full_form(fresh_tournaments,
+                                                  monkeypatch):
+    """On every child tried for graphs with n <= 7 and tournaments with
+    n <= 6, ``last=`` gives None exactly when the full form rejects, and
+    otherwise the full form itself."""
+    from combench import generate as gen
+
+    tried = {"graphs": 0, "tournaments": 0}
+
+    def checked(form, catalog):
+        def check(g, last):
+            tried[catalog] += 1
+            quick, full = form(g, last=last), form(g)
+            assert (quick is None) == _rejects(full, last)
+            if quick is not None:
+                assert (quick.bytes, quick.aut_order, quick.labeling,
+                        quick.orbits, quick.generators) == \
+                    (full.bytes, full.aut_order, full.labeling, full.orbits,
+                     full.generators)
+            return quick
+        return check
+
+    monkeypatch.setattr(gen, "canonical_form",
+                        checked(canonical_form, "graphs"))
+    monkeypatch.setattr(gen, "canonical_form_digraph",
+                        checked(canonical_form_digraph, "tournaments"))
+    assert len(graphs_upto(7)[7]) == 1044
+    assert len(tournaments(6)) == 56
+    assert tried == {"graphs": 1251 + 388, "tournaments": 75 + 30}
+
+
+def test_full_searches_only_for_kept_classes(fresh_tournaments, monkeypatch):
+    """The parents' generators are carried forward and the rejected
+    children stop at the root, so the graph catalog to n = 7 and the
+    tournament catalog to n = 6 run one full canonical search per class
+    kept (the one-vertex base needs none)."""
+    from combench import generate as gen
+
+    searches = {"graphs": 0, "tournaments": 0}
+
+    def counted(form, catalog):
+        def count(g, **kwargs):
+            cf = form(g, **kwargs)
+            searches[catalog] += cf is not None
+            return cf
+        return count
+
+    monkeypatch.setattr(gen, "canonical_form",
+                        counted(canonical_form, "graphs"))
+    monkeypatch.setattr(gen, "canonical_form_digraph",
+                        counted(canonical_form_digraph, "tournaments"))
+    levels = graphs_upto(7)
+    tours = [tournaments(n) for n in range(1, 7)]
+    assert searches == {"graphs": sum(len(levels[k]) for k in range(2, 8)),
+                        "tournaments": sum(map(len, tours[1:]))}
 
 
 def test_tournaments_match_dedupe_oracle():

@@ -6,13 +6,12 @@ import pytest
 
 from combench import registry
 from combench.graphs import complete_graph, path_graph
-from combench.perc import (DEFAULT_GRIDS, GridFamily, MAJORITY,
-                           estimate_grid_full_infection, parse_sizes, percolate,
-                           threshold_rule, threshold_sweep, trial_rng,
-                           wilson_interval)
+from combench.perc import (DEFAULT_GRIDS, GridFamily,
+                           estimate_grid_full_infection, parse_sizes,
+                           threshold_sweep, trial_rng, wilson_interval)
 from conftest import grid_graph
-from oracles import (closure_equals_graph_engine, percolate_rounds_oracle,
-                     seed_mask_scalar)
+from oracles import (MAJORITY, closure_equals_graph_engine, percolate,
+                     percolate_rounds_oracle, seed_mask_scalar, threshold_rule)
 
 
 def test_percolate_examples():
