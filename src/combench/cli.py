@@ -289,6 +289,8 @@ def _cmd_ext(args) -> int:
         print(json.dumps({"cost": rec["cost"],
                           "k_r_free_for": rec["k_r_free_for"]}))
     elif args.verb == "ramsey":
+        if args.n < 1 or args.t < 1:
+            raise CombenchError("--n and --t must be >= 1")
         # colouring file: JSON map "u,v,w" -> "red" | "blue"
         colors = _triple_file(args.file, args.n)
         bad = [col for col in colors.values() if col not in ("red", "blue")]

@@ -1,5 +1,6 @@
-"""Brute-force Turan numbers, overlapping-cycle Hamiltonicity and saturation,
-bipartization cost via exact max-cut, and 3-uniform Ramsey witness search."""
+"""Turan numbers over the generated F-free graphs, overlapping-cycle
+Hamiltonicity and saturation, bipartization cost via exact max-cut, and
+3-uniform Ramsey witness search."""
 
 from __future__ import annotations
 
@@ -7,20 +8,19 @@ import itertools
 
 from . import CombenchError
 from .canon import canonical_form
-from .coloring import subgraph_contains
-from .graphs import Graph, Hypergraph, bits
+from .graphs import Graph, Hypergraph, bits, complete_graph
 from .structure import clique_number
 
 
-def forbidden_free(g: Graph, patterns) -> bool:
-    return not any(subgraph_contains(g, p) for p in patterns)
-
-
 def turan_number(n: int, patterns: list[Graph]):
-    """ext(n, F) with one extremal witness.
+    """ext(n, F) with one extremal witness, or (-1, None) when no graph on
+    n vertices is F-free.
 
-    n <= 7 sweeps the generated catalog; 8..10 run edge-set branch and bound
-    (slower, exact).
+    F-freeness is hereditary, so graphs_upto(n, forbidden=F) generates
+    exactly the F-free classes; the witness is the first one of most edges
+    in certificate order.  Patterns on more than n vertices never occur, and
+    when none is left K_n is the answer.  The cost grows with the number of
+    F-free classes, which for a dense F nears the whole catalog.
     """
     if not patterns:
         raise CombenchError("forbidden family must be nonempty")
@@ -28,45 +28,17 @@ def turan_number(n: int, patterns: list[Graph]):
         raise CombenchError("need n >= 1")
     if n > 10:
         raise CombenchError("exact Turan numbers computed for n <= 10")
-    if n <= 7:
-        from .generate import all_graphs_cached
+    patterns = tuple(p for p in patterns if p.n <= n)
+    if not patterns:
+        return n * (n - 1) // 2, complete_graph(n)
+    from .generate import graphs_upto
 
-        best, witness = -1, None
-        for g in all_graphs_cached(n):
-            m = g.edge_count()
-            if m > best and forbidden_free(g, patterns):
-                best, witness = m, g
-        return best, witness
-    return _turan_branch_and_bound(n, patterns)
-
-
-def _turan_branch_and_bound(n: int, patterns):
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    best = [-1, None]
-    g = Graph(n)
-
-    def creates_pattern() -> bool:
-        # only patterns touching the new edge matter; full test is simplest
-        return any(subgraph_contains(g, p) for p in patterns)
-
-    def rec(i: int, m: int):
-        if m + (len(pairs) - i) <= best[0]:
-            return
-        if i == len(pairs):
-            if m > best[0]:
-                best[0] = m
-                best[1] = g.copy()
-            return
-        u, v = pairs[i]
-        g.add_edge(u, v)
-        if not creates_pattern():
-            rec(i + 1, m + 1)
-        g.adj[u] &= ~(1 << v)
-        g.adj[v] &= ~(1 << u)
-        rec(i + 1, m)
-
-    rec(0, 0)
-    return best[0], best[1]
+    best, witness = -1, None
+    for g in graphs_upto(n, forbidden=patterns)[n]:
+        m = g.edge_count()
+        if m > best:
+            best, witness = m, g
+    return best, witness
 
 
 # ---------------------------------------------------------------------------

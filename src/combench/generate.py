@@ -4,15 +4,16 @@ Three engines:
 
 * general graphs: canonical augmentation by vertex (parent = child minus the
   vertex in the canonical-last orbit, see _augment), optionally constrained
-  by hereditary predicates (max degree, max edges, bipartite).  The
-  canonical-last vertex has maximum degree (see canon), so only neighbour
-  masks that give the new vertex maximum degree are tried (the filter of
-  McKay's geng).  A child whose new vertex lies outside the last cell of
-  its root partition is rejected before any canonical search, and each
-  level keeps its classes' automorphism generators for the next, so a full
-  canonical search runs only for the children that can be kept.  Each
-  unconstrained level certifies its completeness: sum(k!/|Aut(G)|) over its
-  classes must equal 2^C(k,2), else RuntimeError;
+  by hereditary predicates (max degree, max edges, bipartite, no subgraph
+  from a forbidden family).  The canonical-last vertex has maximum degree
+  (see canon), so only neighbour masks that give the new vertex maximum
+  degree are tried (the filter of McKay's geng).  A child whose new vertex
+  lies outside the last cell of its root partition is rejected before any
+  canonical search, and each level keeps its classes' automorphism
+  generators for the next, so a full canonical search runs only for the
+  children that can be kept.  Each unconstrained level certifies its
+  completeness: sum(k!/|Aut(G)|) over its classes must equal 2^C(k,2),
+  else RuntimeError;
 * cubic graphs: canonical augmentation by edge insertion (subdivide two
   distinct edges, join the new vertices u and v), with no dict of
   certificates.  Each parent inserts one unordered edge pair per orbit of
@@ -161,16 +162,23 @@ def _adj_child(parent: Graph, mask: int) -> Graph:
 def graphs_upto(n: int, max_degree: int | None = None,
                 max_edges: int | None = None,
                 bipartite_only: bool = False,
-                final_regular: int | None = None) -> dict[int, list[Graph]]:
+                final_regular: int | None = None,
+                forbidden: tuple[Graph, ...] = ()) -> dict[int, list[Graph]]:
     """All graphs on 1..n vertices up to isomorphism, one list per order.
 
     The constraints must be hereditary under vertex deletion, which max
-    degree, max edge count and bipartiteness are.  ``final_regular`` adds
+    degree, max edge count, bipartiteness and F-freeness are.  ``forbidden``
+    is a tuple of patterns: a child containing any of them as a subgraph is
+    rejected, so each level holds exactly the F-free classes (the pruning of
+    geng's triangle-free and C4-free switches).  ``final_regular`` adds
     admissible completability pruning for the target order n (used by the
     independent oracle for cubic generation).
     """
     certify = (max_degree is None and max_edges is None and not bipartite_only
-               and final_regular is None)
+               and final_regular is None and not forbidden)
+    if forbidden:
+        # only F-free generation loads coloring; no other catalog needs it
+        from .coloring import subgraph_contains
 
     def build(parent: Graph, mask: int) -> Graph | None:
         if max_degree is not None:
@@ -187,10 +195,14 @@ def graphs_upto(n: int, max_degree: int | None = None,
         if final_regular is not None and not _regular_completable(
                 child, n, final_regular):
             return None
+        if any(subgraph_contains(child, p) for p in forbidden):
+            return None
         return child
 
-    level = [(Graph(1), ())]
-    levels = {1: [level[0][0]]}
+    # only a pattern on at most one vertex can forbid the single vertex
+    level = [(g, ()) for g in (Graph(1),)
+             if not any(subgraph_contains(g, p) for p in forbidden)]
+    levels = {1: [g for g, _ in level]}
     for k in range(2, n + 1):
         level = _augment(level, k, canonical_form, lambda g: g.adj, 0, build,
                          "graphs" if certify else None)

@@ -535,15 +535,14 @@ def _paths(seed: int, labels: int) -> dict:
           "(j,k)-colourings exist for max degree <= j+k+1")
 def _jk(seed: int, n_max: int, j: int, k: int) -> dict:
     from .coloring import improper_partition
-    from .generate import all_graphs_cached
+    from .generate import graphs_upto
 
     checked = failures = 0
-    for n in range(1, n_max + 1):
-        for g in all_graphs_cached(n):
-            if max((a.bit_count() for a in g.adj), default=0) <= j + k + 1:
-                checked += 1
-                if improper_partition(g, j, k) is None:
-                    failures += 1
+    for level in graphs_upto(n_max, max_degree=j + k + 1).values():
+        for g in level:
+            checked += 1
+            if improper_partition(g, j, k) is None:
+                failures += 1
     return {"checked": checked, "failures": failures}
 
 
@@ -596,7 +595,7 @@ def _mono(seed: int, n: int, trials: int) -> dict:
 
 
 @register("sec9.simonovits.turan", "9.1", "exact", {"n": (int, 6, 3)},
-          "brute-force Turan numbers")
+          "Turan numbers over the generated F-free graphs")
 def _turan(seed: int, n: int) -> dict:
     from .extremal import turan_number
     from .graphs import complete_graph, cycle_graph

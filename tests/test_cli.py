@@ -82,6 +82,11 @@ def test_cli_exit_codes(capsys, tmp_path):
     file_probes += [["ext", "ramsey", "--file", str(files[name])]
                     for name in ("null_root", "pair_key", "out_of_range",
                                  "twice", "word", "green")]
+    # --n and --t are checked before the (well-formed) file is read
+    file_probes += [["ext", "ramsey", flag, value, "--file",
+                     str(files["empty"])]
+                    for flag, value in (("--n", "-1"), ("--n", "0"),
+                                        ("--t", "0"))]
     for argv in (["gen", "--spec", "{bad"],
                  ["gen", "--spec", "3"],
                  ["gen", "--spec", '{"bogus": 1}'],
@@ -260,6 +265,9 @@ def test_cli_verbs(capsys, monkeypatch):
 
     assert main(["gen", "--spec", '{"n": 4, "class_tag": "cubic"}']) == 0
     assert capsys.readouterr().out.strip() == "C~"
+
+    assert main(["ext", "turan", "--n", "8", "--clique", "3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ext": 16}
 
     assert main(["cycles", "half-cycles", "--n", "6"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

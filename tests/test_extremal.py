@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 from combench import CombenchError
-from combench.extremal import (bipartization_cost,
-                               forbidden_free, hyper_ramsey_witness,
+from combench.coloring import subgraph_contains
+from combench.extremal import (bipartization_cost, hyper_ramsey_witness,
                                is_l_ham_saturated, is_l_hamiltonian, max_cut,
                                sat_search, turan_number)
+from combench.generate import all_graphs_cached, graphs_upto
 from combench.graphs import (Graph, Hypergraph, complete_graph, cycle_graph,
                              is_bipartite)
 from conftest import random_graph
@@ -14,12 +15,17 @@ from conftest import random_graph
 
 def test_turan_examples():
     v, w = turan_number(5, [complete_graph(3)])
-    assert v == 6 and forbidden_free(w, [complete_graph(3)])
+    assert v == 6 and not subgraph_contains(w, complete_graph(3))
     cycles = [cycle_graph(i) for i in range(3, 6)]
     v, w = turan_number(5, cycles)
     assert v == 4  # forests only
     v, _ = turan_number(6, [cycle_graph(4)])
     assert v == 7
+    # a one-vertex pattern leaves no F-free graph, not even on one vertex
+    assert turan_number(1, [Graph(1)]) == (-1, None)
+    # no pattern fits on n vertices: K_n, with nothing generated
+    assert turan_number(10, [complete_graph(11), cycle_graph(12)]) == \
+        (45, complete_graph(10))
 
 
 def test_turan_monotonicity():
@@ -31,14 +37,30 @@ def test_turan_monotonicity():
     assert v_two <= turan_number(5, k3)[0]
 
 
-def test_turan_branch_and_bound_matches_catalog():
-    # same answer through both code paths at the boundary
-    from combench.extremal import _turan_branch_and_bound
+def test_forbidden_levels_match_filtered_catalog():
+    """graphs_upto(n, forbidden=F) generates exactly the F-free classes of
+    the catalog, with the same representatives in the same order; at n = 8
+    the counts are the published ones."""
+    k3, c4 = complete_graph(3), cycle_graph(4)
 
-    for pats in ([complete_graph(3)], [cycle_graph(4)]):
-        v_cat, _ = turan_number(7, pats)
-        v_bb, _ = _turan_branch_and_bound(7, pats)
-        assert v_cat == v_bb
+    def filtered(n, family):
+        return [g for g in all_graphs_cached(n)
+                if not any(subgraph_contains(g, p) for p in family)]
+
+    for family in ((k3,), (c4,), (complete_graph(4),), (cycle_graph(5),),
+                   (k3, c4)):
+        levels = graphs_upto(7, forbidden=family)
+        for n in range(1, 8):
+            assert levels[n] == filtered(n, family), (family, n)
+    triangle_free = graphs_upto(8, forbidden=(k3,))[8]
+    assert triangle_free == filtered(8, (k3,))
+    assert graphs_upto(8, forbidden=(c4,))[8] == filtered(8, (c4,))
+    forests = graphs_upto(8, forbidden=tuple(cycle_graph(i)
+                                             for i in range(3, 9)))[8]
+    # OEIS A006785 and A005195
+    assert (len(triangle_free), len(forests)) == (410, 76)
+    assert turan_number(8, [k3])[0] == 16
+    assert turan_number(8, [c4])[0] == 11
 
 
 def test_l_hamiltonian():
