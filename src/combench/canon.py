@@ -330,7 +330,3 @@ def canonical_form_digraph(d: Digraph, colors=None,
                            last: int | None = None) -> CanonicalForm | None:
     """canonical_form for a digraph."""
     return _canon(d.n, d.out, d.inn, colors, last)
-
-
-def certificate(g: Graph) -> bytes:
-    return canonical_form(g).bytes

@@ -151,7 +151,7 @@ def _cmd_reproduce(args) -> int:
         path = GOLDEN_DIR / f"{name}.csv"
         if args.write:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(got)
+            path.write_text(got, newline="\r\n")  # the goldens are CRLF
             print(f"wrote {path}")
             continue
         if not path.exists():
@@ -240,8 +240,7 @@ def _cmd_tour(args) -> int:
         b, _ = beta_k(d, args.k)
         print(json.dumps({"alpha": a, "beta": b}))
     elif args.verb == "reverse":
-        r = reversal_arc_strong(d, args.k)
-        print(json.dumps({"reversals": r.reversed_arcs}))
+        print(json.dumps({"reversals": reversal_arc_strong(d, args.k)}))
     return 0
 
 

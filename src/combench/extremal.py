@@ -132,7 +132,7 @@ def _graph_ham_saturated(h: Hypergraph) -> bool:
     return True
 
 
-def _hypergraph_cert(n: int, k: int, edges: tuple) -> bytes:
+def _hypergraph_cert(n: int, edges: tuple) -> bytes:
     """Canonical certificate via the vertex/edge incidence graph."""
     g = Graph(n + len(edges))
     for i, e in enumerate(edges):
@@ -169,7 +169,7 @@ def sat_search(n: int, k: int, ell: int):
     for m in range(0, len(all_edges) + 1):
         seen = set()
         for combo in itertools.combinations(all_edges, m):
-            cert = _hypergraph_cert(n, k, combo)
+            cert = _hypergraph_cert(n, combo)
             if cert in seen:
                 continue
             seen.add(cert)

@@ -3,8 +3,8 @@
 Arc flows (arc-disjoint paths, so edge and arc connectivity) are unit-capacity
 augmenting paths found by BFS straight on the bitset out-rows, with no flow
 network.  ``FlowNet`` (Dinic) remains for the networks with other
-capacities: the split-vertex networks of vertex connectivity, ``alpha_k``'s
-transportation network and ``structure``'s density flow.
+capacities: the split-vertex networks of vertex connectivity and
+``alpha_k``'s transportation network.
 """
 
 from __future__ import annotations
@@ -72,19 +72,6 @@ class FlowNet:
                     break
                 flow += pushed
         return flow
-
-    def min_cut_side(self, s: int) -> int:
-        """Bitmask of nodes reachable from s in the residual network."""
-        seen = 1 << s
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for e in self.head[v]:
-                w = self.to[e]
-                if self.cap[e] and not seen >> w & 1:
-                    seen |= 1 << w
-                    stack.append(w)
-        return seen
 
 
 def arc_flow(rows, s: int, t: int, limit: int = INF) -> int:

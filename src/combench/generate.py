@@ -171,8 +171,8 @@ def graphs_upto(n: int, max_degree: int | None = None,
     is a tuple of patterns: a child containing any of them as a subgraph is
     rejected, so each level holds exactly the F-free classes (the pruning of
     geng's triangle-free and C4-free switches).  ``final_regular`` adds
-    admissible completability pruning for the target order n (used by the
-    independent oracle for cubic generation).
+    admissible completability pruning toward an r-regular graph on n
+    vertices (``GenSpec.regular``).
     """
     certify = (max_degree is None and max_edges is None and not bipartite_only
                and final_regular is None and not forbidden)
@@ -564,7 +564,8 @@ def generate(spec: GenSpec):
     elif spec.class_tag == "graph":
         pool = graphs_upto(spec.n, max_degree=spec.max_degree,
                            max_edges=spec.max_edges,
-                           bipartite_only=bool(spec.bipartite))[spec.n]
+                           bipartite_only=bool(spec.bipartite),
+                           final_regular=spec.regular)[spec.n]
     else:
         raise CombenchError(f"unknown class {spec.class_tag!r}")
     for g in pool:

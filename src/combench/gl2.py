@@ -126,14 +126,14 @@ def _mitm_distance(rows, n: int):
                     sides[s][k2] = (key, op)
                     nxt.append(k2)
                     if k2 in sides[1 - s]:
-                        return _stitch(k2, sides, n, depth[s] + 1 + depth[1 - s])
+                        return _stitch(k2, sides, depth[s] + 1 + depth[1 - s])
         frontiers[s] = nxt
         depth[s] += 1
         if not nxt:
             raise AssertionError("group is connected; unreachable")
 
 
-def _stitch(meet: int, sides, n: int, total: int):
+def _stitch(meet: int, sides, total: int):
     word_from_identity = []
     k = meet
     while sides[0][k][0] is not None:

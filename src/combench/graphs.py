@@ -151,11 +151,6 @@ class Digraph:
         d.out, d.inn = list(self.out), list(self.inn)
         return d
 
-    def reverse(self) -> "Digraph":
-        d = Digraph(self.n)
-        d.out, d.inn = list(self.inn), list(self.out)
-        return d
-
     def underlying_graph(self) -> Graph:
         g = Graph(self.n)
         for u, v in self.arcs():

@@ -312,9 +312,9 @@ def _equitable(seed: int, n: int, delta: int, k: int) -> dict:
             "spread": sizes[-1] - sizes[0]}
 
 
-@register("sec4.heuvel.cyclic-ordering", "4.3.1", "checker", {"n": (int, 4, 1)},
+@register("sec4.heuvel.cyclic-ordering", "4.3.1", "checker", {},
           "cyclic orderings of disjoint spanning trees")
-def _cyclic_ord(seed: int, n: int) -> dict:
+def _cyclic_ord(seed: int) -> dict:
     from .designs import (cyclic_base_ordering, graphic_independence,
                           verify_cyclic_ordering)
 
@@ -783,8 +783,8 @@ def _alpha_beta(seed: int, n_max: int, k: int) -> dict:
                 else:
                     ne += 1
             rev_checked += 1
-            ra = len(reversal_arc_strong(t, k).reversed_arcs)
-            rd = len(reversal_deg(t, k).reversed_arcs)
+            ra = len(reversal_arc_strong(t, k))
+            rd = len(reversal_deg(t, k))
             if ra == max(k - lam, rd):
                 rev_ok += 1
     return {"alpha_eq_beta": eq, "alpha_ne_beta": ne,

@@ -4,70 +4,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import CombenchError, flows
+from . import CombenchError
 from .graphs import Graph, bits
-
-
-def edges_inside(g: Graph, mask: int) -> int:
-    return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
 
 
 def mad(g: Graph) -> Fraction:
     """Maximum average degree max_H 2|E(H)|/|V(H)|, exact.
 
     Induced subgraphs suffice: restricting a witness to its own vertex set
-    only adds edges.  Exhaustive subset sweep up to n = 20, Dinkelbach
-    iterations over a max-flow density test beyond.
+    only adds edges.  An exhaustive subset sweep, so n <= 20 only.
     """
     if g.n < 1:
         raise CombenchError("mad needs at least one vertex")
-    if g.n <= 20:
-        e_table = [0] * (1 << g.n)
-        best_e, best_k = 0, 1
-        for mask in range(1, 1 << g.n):
-            low = mask & -mask
-            rest = mask ^ low
-            v = low.bit_length() - 1
-            e = e_table[rest] + (g.adj[v] & rest).bit_count()
-            e_table[mask] = e
-            k = mask.bit_count()
-            if e * best_k > best_e * k:
-                best_e, best_k = e, k
-        return Fraction(2 * best_e, best_k)
-    return Fraction(2) * _max_density_flow(g)
-
-
-def _max_density_flow(g: Graph) -> Fraction:
-    """Goldberg-style exact maximum |E(H)|/|V(H)| via Dinkelbach iterations."""
-    m = g.edge_count()
-    if m == 0:
-        return Fraction(0)
-    edges = list(g.edges())
-    density = Fraction(1, 2)  # any single edge
-
-    while True:
-        a, b = density.numerator, density.denominator
-        # Nodes: source, edge nodes, vertex nodes, sink. Capacities scaled by b.
-        src = 0
-        esink = 1 + len(edges) + g.n
-        net = flows.FlowNet(esink + 1)
-        for i, (u, v) in enumerate(edges):
-            net.add(src, 1 + i, b)
-            net.add(1 + i, 1 + len(edges) + u, flows.INF)
-            net.add(1 + i, 1 + len(edges) + v, flows.INF)
-        for v in range(g.n):
-            net.add(1 + len(edges) + v, esink, a)
-        flow = net.max_flow(src, esink)
-        if flow >= m * b:
-            return density
-        side = net.min_cut_side(src)
-        verts = [v for v in range(g.n) if side >> (1 + len(edges) + v) & 1]
-        mask = sum(1 << v for v in verts)
-        e_in = edges_inside(g, mask)
-        cand = Fraction(e_in, len(verts))
-        if cand <= density:
-            return density
-        density = cand
+    if g.n > 20:
+        raise CombenchError("mad is a subset sweep; n <= 20")
+    e_table = [0] * (1 << g.n)
+    best_e, best_k = 0, 1
+    for mask in range(1, 1 << g.n):
+        low = mask & -mask
+        rest = mask ^ low
+        v = low.bit_length() - 1
+        e = e_table[rest] + (g.adj[v] & rest).bit_count()
+        e_table[mask] = e
+        k = mask.bit_count()
+        if e * best_k > best_e * k:
+            best_e, best_k = e, k
+    return Fraction(2 * best_e, best_k)
 
 
 # ---------------------------------------------------------------------------

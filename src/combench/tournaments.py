@@ -265,35 +265,20 @@ def beta_k(d: Digraph, k: int):
 # arc reversals
 
 
-@dataclass
-class ReversalResult:
-    reversed_arcs: list[tuple[int, int]]
-    tournament: Digraph
-    certificate: str
-
-
-def _reverse_arcs(d: Digraph, subset) -> Digraph:
-    out = d.copy()
-    for u, v in subset:
-        out.remove_arc(u, v)
-        out.add_arc(v, u)
-    return out
-
-
 def _deg_lower_bound(d: Digraph, k: int) -> int:
     lo_out = sum(max(0, k - d.out_degree(v)) for v in range(d.n))
     lo_in = sum(max(0, k - d.in_degree(v)) for v in range(d.n))
     return max(lo_out, lo_in)
 
 
-def reversal_deg(d: Digraph, k: int) -> ReversalResult:
+def reversal_deg(d: Digraph, k: int) -> list[tuple[int, int]]:
     """Minimum arc set whose reversal gives min in- and out-degree >= k."""
     if d.n < 2 * k + 1:
         raise CombenchError("need n >= 2k+1")
-    return _reversal_search(d, k, _deg_lower_bound, "min-degree-k")
+    return _reversal_search(d, k, _deg_lower_bound)
 
 
-def reversal_arc_strong(d: Digraph, k: int) -> ReversalResult:
+def reversal_arc_strong(d: Digraph, k: int) -> list[tuple[int, int]]:
     """Minimum arc set whose reversal gives a k-arc-strong tournament."""
     if d.n < 2 * k + 1:
         raise CombenchError("need n >= 2k+1")
@@ -301,10 +286,10 @@ def reversal_arc_strong(d: Digraph, k: int) -> ReversalResult:
     def lb(t: Digraph, kk: int) -> int:
         return max(kk - flows.arc_strong_connectivity(t), _deg_lower_bound(t, kk), 0)
 
-    return _reversal_search(d, k, lb, "k-arc-strong")
+    return _reversal_search(d, k, lb)
 
 
-def _reversal_search(d: Digraph, k: int, lower_bound, tag: str) -> ReversalResult:
+def _reversal_search(d: Digraph, k: int, lower_bound) -> list[tuple[int, int]]:
     """Fewest arc reversals that bring ``lower_bound(t, k)`` to 0; each
     bound is 0 exactly on the digraphs that meet its target."""
     arcs = list(d.arcs())
@@ -335,7 +320,7 @@ def _reversal_search(d: Digraph, k: int, lower_bound, tag: str) -> ReversalResul
     for budget in range(lower_bound(d, k), len(arcs) + 1):
         got = dfs(d.copy(), budget, 0, [])
         if got is not None:
-            return ReversalResult(got, _reverse_arcs(d, got), tag)
+            return got
     raise CombenchError("no reversal set found")  # cannot happen for tournaments
 
 
@@ -492,30 +477,14 @@ class ColoredBipartite:
 
 def colored_two_matchings(bg: ColoredBipartite):
     """(M1, M2): disjoint perfect matchings, M1 all colour 1, M2 any colours."""
+    # imported here, so that importing tournaments does not load families
+    from .families import _hopcroft_karp
+
     if bg.a != bg.b:
         return None
     n = bg.a
     adj1 = [[j for j in range(n) if bg.colors.get((i, j)) == 1] for i in range(n)]
     adj_all = [[j for j in range(n) if (i, j) in bg.colors] for i in range(n)]
-
-    def perfect_matching(adj, banned):
-        """Kuhn augmenting-path matching; returns match_right or None."""
-        match_r = [-1] * n
-
-        def try_kuhn(i, seen):
-            for j in adj[i]:
-                if (i, j) in banned or j in seen:
-                    continue
-                seen.add(j)
-                if match_r[j] == -1 or try_kuhn(match_r[j], seen):
-                    match_r[j] = i
-                    return True
-            return False
-
-        for i in range(n):
-            if not try_kuhn(i, set()):
-                return None
-        return match_r
 
     def m1_candidates(i, used_r, acc):
         if i == n:
@@ -528,9 +497,8 @@ def colored_two_matchings(bg: ColoredBipartite):
                 acc.pop()
 
     for m1 in m1_candidates(0, 0, []):
-        banned = set(m1)
-        m2r = perfect_matching(adj_all, banned)
-        if m2r is not None:
-            m2 = [(m2r[j], j) for j in range(n)]
-            return m1, m2
+        rest = [[j for j in adj_all[i] if j != m1[i][1]] for i in range(n)]
+        size, _, m2r = _hopcroft_karp(n, n, rest)
+        if size == n:
+            return m1, [(m2r[j], j) for j in range(n)]
     return None

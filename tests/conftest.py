@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from combench.canon import canonical_form
 from combench.graphs import Digraph, Graph
 
 
@@ -34,12 +35,23 @@ def random_tournament(rng, n):
 # named constructions that only tests use
 
 
+def certificate(g: Graph) -> bytes:
+    return canonical_form(g).bytes
+
+
 def relabel(g: Graph, perm) -> Graph:
     """New graph with vertex v renamed perm[v]."""
     h = Graph(g.n)
     for u, v in g.edges():
         h.add_edge(perm[u], perm[v])
     return h
+
+
+def reverse(d: Digraph) -> Digraph:
+    """New digraph with every arc reversed."""
+    r = Digraph(d.n)
+    r.out, r.inn = list(d.inn), list(d.out)
+    return r
 
 
 def empty_graph(n: int) -> Graph:

@@ -12,8 +12,13 @@ from combench import CombenchError
 from combench.generate import (_insert_edge_pair, _irreducible_unions,
                                _orbit_reps, labeled_cubic_count)
 from combench.graphs import Digraph, Graph, bits, complete_graph, is_connected
-from combench.structure import edges_inside, max_clique
+from combench.structure import max_clique
 from conftest import grid_graph
+
+
+def edges_inside(g: Graph, mask: int) -> int:
+    """Edges of g with both ends in ``mask``."""
+    return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
 
 
 def _count_automorphisms(out: list[int], colors) -> int:

@@ -1,13 +1,12 @@
 from math import factorial
 
-from combench.canon import (_cycle_key, canonical_form,
-                            canonical_form_digraph, certificate)
+from combench.canon import _cycle_key, canonical_form, canonical_form_digraph
 from combench.generate import all_graphs_cached, cubic_graphs_all, tournaments
 from combench.graphs import (Digraph, Graph, complete_bipartite,
                              complete_graph, cycle_graph, disjoint_union,
                              petersen_graph, rotational_tournament)
-from conftest import (prism_graph, random_graph, random_tournament, relabel,
-                      transitive_tournament)
+from conftest import (certificate, prism_graph, random_graph,
+                      random_tournament, relabel, transitive_tournament)
 from oracles import (brute_force_aut_order, brute_force_aut_order_digraph,
                      min_perm_certificate)
 

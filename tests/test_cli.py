@@ -1,14 +1,25 @@
 import dataclasses
+import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from combench import CombenchError, registry
+import combench
+from combench import CombenchError, flows, registry
 from combench.cli import main
-from combench.generate import GenSpec
-from combench.graphs import from_digraph6, from_graph6, to_digraph6, to_graph6
+from combench.designs import AvoidArray, verify_avoidance
+from combench.families import katona_bound
+from combench.generate import GenSpec, cubic_graphs_all
+from combench.graphs import (from_digraph6, from_graph6, rotational_tournament,
+                             to_digraph6, to_graph6)
+from combench.tournaments import StrongDecomposition
+from conftest import certificate, transitive_tournament
 
 
 def test_list_problems_registry():
@@ -266,6 +277,16 @@ def test_cli_verbs(capsys, monkeypatch):
     assert main(["gen", "--spec", '{"n": 4, "class_tag": "cubic"}']) == 0
     assert capsys.readouterr().out.strip() == "C~"
 
+    # all 21 cubic graphs on ten vertices, the same classes as the cubic
+    # generator's
+    assert main(["gen", "--spec", '{"n": 10, "regular": 3}']) == 0
+    cubic10 = [from_graph6(line) for line in capsys.readouterr().out.split()]
+    assert len(cubic10) == 21
+    assert all(g.n == 10 and {a.bit_count() for a in g.adj} == {3}
+               for g in cubic10)
+    assert {certificate(g) for g in cubic10} == \
+        {certificate(g) for g in cubic_graphs_all(10)}
+
     assert main(["ext", "turan", "--n", "8", "--clique", "3"]) == 0
     assert json.loads(capsys.readouterr().out) == {"ext": 16}
 
@@ -295,8 +316,6 @@ def test_cli_verbs(capsys, monkeypatch):
 
 
 def test_cli_tournament_verbs(capsys):
-    from combench.graphs import rotational_tournament, to_digraph6
-
     d6 = to_digraph6(rotational_tournament(7))
     assert main(["tour", "kelly", d6]) == 0
     cycles = json.loads(capsys.readouterr().out)
@@ -306,11 +325,142 @@ def test_cli_tournament_verbs(capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["alpha"] == rec["beta"] == 7
 
+    # two arc-disjoint spanning strong subdigraphs of the 3-arc-strong QR7
+    qr7 = rotational_tournament(7)
+    assert main(["tour", "decompose", d6, "--k", "2"]) == 0
+    classes = json.loads(capsys.readouterr().out)
+    assert StrongDecomposition(2, [[tuple(a) for a in cls]
+                                   for cls in classes]).verify(qr7)
+    transitive = to_digraph6(transitive_tournament(5))
+    assert main(["tour", "decompose", transitive, "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) is None  # not even strong
+
+    # two vertex-disjoint directed cycles; five vertices cannot hold two
+    # disjoint 3-cycles
+    assert main(["tour", "cycles", d6, "--k", "2"]) == 0
+    cycles = json.loads(capsys.readouterr().out)
+    assert len(cycles) == 2 and not set(cycles[0]) & set(cycles[1])
+    assert all(qr7.has_arc(c[i - 1], c[i]) for c in cycles
+               for i in range(len(c)))
+    qr5 = to_digraph6(rotational_tournament(5))
+    assert main(["tour", "cycles", qr5, "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) is None
+
+    # reversing k(k+1)/2 = 3 arcs makes the transitive T5 2-arc-strong
+    assert main(["tour", "reverse", d6, "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"reversals": []}
+    assert main(["tour", "reverse", transitive, "--k", "2"]) == 0
+    arcs = json.loads(capsys.readouterr().out)["reversals"]
+    assert len(arcs) == 3
+    t = transitive_tournament(5)
+    for u, v in arcs:
+        t.remove_arc(u, v)
+        t.add_arc(v, u)
+    assert flows.arc_strong_connectivity(t) >= 2
+
+
+def test_cli_witness_verbs(capsys, tmp_path):
+    """The verbs that read a word, a graph, a file or a matrix, each on
+    valid input, against facts the test confirms by hand."""
+    assert main(["color", "circle", "--word", "abab"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "vertices": 2, "edges": 1, "chi": 2}  # two crossing chords
+
+    assert main(["fam", "katona", "--n", "5", "--k", "2"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["size"] == len(set(rec["witness"])) == katona_bound(5, 2) == 10
+    sets = [int(w, 2) for w in rec["witness"]]
+    assert all((a & b).bit_count() >= 2 for a in sets for b in sets)
+
+    assert main(["ext", "bipartize", "--graph6", "Dhc"]) == 0  # C5
+    assert json.loads(capsys.readouterr().out) == {"cost": 1,
+                                                   "k_r_free_for": 3}
+
+    # every triple red: a red loose triangle; two red triples: a blue K4
+    red_all = tmp_path / "red.json"
+    red_all.write_text(json.dumps({"%d,%d,%d" % t: "red" for t in
+                                   itertools.combinations(range(6), 3)}))
+    assert main(["ext", "ramsey", "--n", "6", "--file", str(red_all)]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["verdict"] == "red_c3"
+    e1, e2, e3 = map(set, rec["witness"])
+    assert all(len(a & b) == 1 for a, b in ((e1, e2), (e2, e3), (e1, e3)))
+    assert not e1 & e2 & e3
+    two_red = tmp_path / "two.json"
+    two_red.write_text(json.dumps({"0,1,2": "red", "2,1,3": "red",
+                                   "0,4,5": "blue"}))
+    assert main(["ext", "ramsey", "--n", "6", "--t", "4",
+                 "--file", str(two_red)]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["verdict"] == "blue_kt" and len(set(rec["witness"])) == 4
+    assert not {(0, 1, 2), (1, 2, 3)} & set(
+        itertools.combinations(sorted(rec["witness"]), 3))
+
+    # each vertex is the root of one triple, so it dominates only the other
+    # two vertices of that triple; the one 4-set has four distinct roots
+    roots = {(0, 1, 2): 1, (0, 1, 3): 3, (0, 2, 3): 0, (1, 2, 3): 2}
+    dom3 = tmp_path / "dom3.json"
+    dom3.write_text(json.dumps({"%d,%d,%d" % t: r for t, r in roots.items()}))
+    assert main(["des", "dom3", "--file", str(dom3)]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["dom"] == len(rec["witness"]) == 2
+    assert rec["pair_condition"] is False
+    covered = set(rec["witness"]).union(
+        *(set(t) for t, r in roots.items() if r in rec["witness"]))
+    assert covered == {0, 1, 2, 3}
+
+    array = tmp_path / "avoid.txt"
+    array.write_text("1 0 0\n0 0 0\n0 0 2\n")
+    assert main(["des", "avoid", "--file", str(array)]) == 0
+    square = json.loads(capsys.readouterr().out)
+    assert verify_avoidance(AvoidArray([[1, 0, 0], [0, 0, 0], [0, 0, 2]]),
+                            square)
+
+    # the word's row additions take the matrix to the identity in exactly
+    # `distance` steps, and the greedy count is never below that
+    for n, matrix in ((3, "6,1,4"), (5, "1e,1,2,4,8")):
+        assert main(["gl2", "dist", "--n", str(n), "--matrix", matrix]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        rows = [int(h, 16) for h in matrix.split(",")]
+        for i, j in rec["word"]:
+            rows[i] ^= rows[j]
+        assert rows == [1 << i for i in range(n)]
+        assert len(rec["word"]) == rec["distance"] > 0
+        assert main(["gl2", "greedy", "--n", str(n), "--matrix", matrix]) == 0
+        assert json.loads(capsys.readouterr().out)["operations"] >= \
+            rec["distance"]
+    assert main(["gl2", "greedy", "--n", "3", "--matrix", "1,2,4"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"operations": 0}
+
 
 def test_reproduce_quick_matches_golden(capsys):
+    """One process and two worker processes print the same ok lines."""
     assert main(["reproduce", "--profile", "quick"]) == 0
     out = capsys.readouterr().out
     assert "ok   half_cycles" in out
+    src = str(Path(combench.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "combench.cli", "reproduce", "--profile", "quick"],
+        env=dict(os.environ, PYTHONPATH=src, COMBENCH_THREADS="2"),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out
+
+
+def test_reproduce_write(tmp_path, capsys, monkeypatch):
+    """--write re-derives every quick table byte for byte."""
+    from combench import cli
+
+    target = tmp_path / "v1"
+    monkeypatch.setattr(cli, "GOLDEN_DIR", target)
+    assert main(["reproduce", "--profile", "quick", "--write"]) == 0
+    written = sorted(p.name for p in target.iterdir())
+    assert len(written) == len(cli.golden_rows("quick"))
+    assert capsys.readouterr().out == "".join(
+        f"wrote {target / name}\n" for name in written)
+    for name in written:
+        assert (target / name).read_bytes() == \
+            (Path(cli.__file__).parent / "golden" / "v1" / name).read_bytes()
 
 
 def test_reproduce_detects_tamper(tmp_path, capsys, monkeypatch):

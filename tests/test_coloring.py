@@ -20,7 +20,8 @@ from combench.coloring import (Coloring, arrows_vertex,
                                pendant_edges, shift_graph_cyclic,
                                strong_chromatic_number, subgraph_contains)
 from combench.graphs import (Graph, Hypergraph, complete_graph, cycle_graph,
-                             path_graph, petersen_graph, star_graph)
+                             from_graph6, path_graph, petersen_graph,
+                             star_graph)
 from combench.structure import biclique_number
 from conftest import empty_graph, graph_join, random_graph
 from oracles import k_edge_colorable_plain
@@ -143,6 +144,22 @@ def test_equitable_replay_check_survives_optimize():
                           text=True, timeout=120)
     assert proc.returncode == 1
     assert "is not proper and equitable" in proc.stderr
+
+
+@pytest.mark.parametrize("graph6, k", [("HQ`@?WO", 3), ("GRf@QK", 4)])
+def test_equitable_exact_fallback(graph6, k):
+    """Graphs with Delta < k where the vertex moves get stuck: the exact
+    search still finds a proper colouring with class sizes within one."""
+    from combench.coloring import _equitable_by_moves
+
+    g = from_graph6(graph6)
+    assert max(a.bit_count() for a in g.adj) < k
+    assert _equitable_by_moves(g, k) is None
+    col = equitable_coloring(g, k).assignment
+    assert len(col) == g.n and set(col) <= set(range(k))
+    assert all(col[u] != col[v] for u, v in g.edges())
+    sizes = [col.count(c) for c in range(k)]
+    assert max(sizes) - min(sizes) <= 1
 
 
 def test_improper_partition():

@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from combench.canon import canonical_form, canonical_form_digraph, certificate
+from combench.canon import canonical_form, canonical_form_digraph
 from combench import CombenchError
 from combench.generate import (GenSpec, all_graphs_cached,
                                connected_cubic_graphs, cubic_graphs_all,
@@ -15,7 +15,7 @@ from combench.generate import (GenSpec, all_graphs_cached,
                                tournaments)
 from combench.graphs import (complete_graph, is_bipartite, is_connected,
                              petersen_graph, to_graph6)
-from conftest import moebius_kantor_graph, prism_graph
+from conftest import certificate, moebius_kantor_graph, prism_graph
 from oracles import (cubic_by_dedupe, labeled_regular_tournament_count,
                      polya_graph_count, tournaments_by_dedupe)
 
